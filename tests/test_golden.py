@@ -1,0 +1,112 @@
+"""Golden outputs: SHA-256 of every file small `run` and `sweep` invocations write.
+
+The hashes were recorded from the program before the sweep path was
+consolidated; a refactor that keeps them keeps every trace, row and summary
+byte-identical. A deliberate output change has to re-record them and say why.
+"""
+import hashlib
+
+import pytest
+
+from diversim.cli import main
+
+CONFIG = """\
+network:
+  synthetic: {{n_layer1: 40, n_layer2: 38, overlap_fraction: 0.5, attachment_degree: 2, seed: 3}}
+diversity: {{x: 4}}
+attacker: {{m3: 2, m4: 4, ini_comp: 3, scale_with_q: {scale}}}
+defender:
+  strategy: [{strategies}]
+  tau: 0.3
+  eta1: 0.5
+  eta2: 0.25
+  fpr: 0.1
+  fnr: 0.1
+run: {{t_max: 30, runs: 3, seed: 5}}
+"""
+
+FAMILY = "static, proactive, reactive, hybrid"
+
+# (case id, strategies, scale_with_q, argv after the config/out options)
+CASES = [
+    ("run-family", FAMILY + ", monoculture", "true", ["run"]),
+    ("sweep-tau", FAMILY, "true", ["sweep", "--sweep", "tau=0.1:0.5:0.1"]),
+    ("sweep-q-scaled", FAMILY, "true", ["sweep", "--sweep", "q=0:1:0.25"]),
+    ("sweep-q-fixed", FAMILY, "false", ["sweep", "--sweep", "q=0:1:0.25"]),
+    ("sweep-budget", FAMILY, "true", ["sweep", "--sweep", "budget=0:8:2"]),
+    ("sweep-x", FAMILY, "true", ["sweep", "--sweep", "x=2:6:2"]),
+    ("sweep-m3", FAMILY, "true", ["sweep", "--sweep", "m3=0:2:1"]),
+    ("sweep-m4", FAMILY, "true", ["sweep", "--sweep", "m4=0:4:2"]),
+    ("sweep-ini-comp", FAMILY, "true", ["sweep", "--sweep", "ini_comp=1:5:2"]),
+    ("sweep-eta2", "proactive, hybrid", "true", ["sweep", "--sweep", "eta2=0.2:0.5:0.15"]),
+    ("sweep-fpr", "reactive, hybrid", "true", ["sweep", "--sweep", "fpr=0:0.2:0.1"]),
+    ("sweep-q-ini-comp", FAMILY, "true",
+     ["sweep", "--sweep", "q=0.5:1:0.5", "--sweep", "ini_comp=1:3:2"]),
+]
+
+GOLDEN = {
+    "run-family": {
+        "summary.csv": "712e2d3288b708922be195e68f65acd41261f64153b27bd7fc396a905b30e024",
+        "trace_hybrid.csv": "0c00af635978eb1c61f53967577b28a2ad23ba99a9c47a63cb5a45e9b3cc99dc",
+        "trace_monoculture.csv": "80d45e01844708db337a3bb474bce3249dd53a446f41b703ece3b310f044c658",
+        "trace_proactive.csv": "fddf61b7235712b03b59f9c589af5ed3b0ab97a3737052ceacb632119b594392",
+        "trace_reactive.csv": "f3e7cc1dfcd59b413adb16dccd9abeee981384cff77e01c17d0dee68fda047d9",
+        "trace_static.csv": "6c0db89d7777183576bfa93b483b1348ffd4522cec93e670846149e319de02b1",
+    },
+    "sweep-tau": {
+        "summary.csv": "a47daa27552b8b619c8012d2bd7ff2271efccea1461fab053c114a70cce7bff4",
+        "sweep.csv": "47f223b5dfb2d9ac6b84a089232a5d88fec8c0696173443794fbd26a888ab9e2",
+    },
+    "sweep-q-scaled": {
+        "summary.csv": "f5cdd572f3ed7b54855a12f8a3e9930c163c72b068cef5f50e8085a386d21dc7",
+        "sweep.csv": "5ffd09959b3c8c13d8f1250e9f7bddfc8546ab0da84ae7d9a8b11627c1fae06a",
+    },
+    "sweep-q-fixed": {
+        "summary.csv": "bbe61ad583f65e75fbe61a5f23749248b59de27dbbb4a3652b1088f8a4b9e3db",
+        "sweep.csv": "173a637417dc1f179bf9be5ab97bd2ee27488a6ba3c63831645178638d88af38",
+    },
+    "sweep-budget": {
+        "summary.csv": "29106b76296457e22d266e2521e50444a59fdbc4a7232ec5525611b2114bfee2",
+        "sweep.csv": "09c84b9d00b89d930d834c736b42588bc3ca682d474e1931e7ced9c83526ecab",
+    },
+    "sweep-x": {
+        "summary.csv": "03338c62e304f4e855fdab93e07fd34f71664579b05251ecd166ae5c6eede4a3",
+        "sweep.csv": "5dac2d06dfefee19aaac196b579e5a65c6d7d49369b751d02daeb657b01f7e88",
+    },
+    "sweep-m3": {
+        "summary.csv": "03338c62e304f4e855fdab93e07fd34f71664579b05251ecd166ae5c6eede4a3",
+        "sweep.csv": "56f366a3dc24ff8b12a9b237570e8a24fbdc0525e33e218f409361c5f088fce2",
+    },
+    "sweep-m4": {
+        "summary.csv": "03338c62e304f4e855fdab93e07fd34f71664579b05251ecd166ae5c6eede4a3",
+        "sweep.csv": "ecb092d82b643408fea05794bb7ab16690c90735bc392f5298b052d0a29c7358",
+    },
+    "sweep-ini-comp": {
+        "summary.csv": "03338c62e304f4e855fdab93e07fd34f71664579b05251ecd166ae5c6eede4a3",
+        "sweep.csv": "da8bbf5504130bcf25e0926b696d1ce5a61fe6db342e0f17f446b25dd7632ff8",
+    },
+    "sweep-eta2": {
+        "summary.csv": "03338c62e304f4e855fdab93e07fd34f71664579b05251ecd166ae5c6eede4a3",
+        "sweep.csv": "5eeafa7586251955d06bf3cab204ead7ce31210029e58320b585d21532e22b6a",
+    },
+    "sweep-fpr": {
+        "summary.csv": "03338c62e304f4e855fdab93e07fd34f71664579b05251ecd166ae5c6eede4a3",
+        "sweep.csv": "a127cffecd35c47f0e31a65ddc5406c0d21d212152e62712a6d1bd480269ae71",
+    },
+    "sweep-q-ini-comp": {
+        "summary.csv": "03338c62e304f4e855fdab93e07fd34f71664579b05251ecd166ae5c6eede4a3",
+        "sweep.csv": "818c30915468ac979d1cb3d2bd000df844a1c3e241a3e38f3829a583ab013454",
+    },
+}
+
+
+@pytest.mark.parametrize("case,strategies,scale,argv", CASES, ids=[c[0] for c in CASES])
+def test_golden_outputs(tmp_path, case, strategies, scale, argv):
+    cfg = tmp_path / "scenario.yaml"
+    cfg.write_text(CONFIG.format(strategies=strategies, scale=scale))
+    out = tmp_path / "out"
+    command, rest = argv[0], argv[1:]
+    code = main([command, "--config", str(cfg), "--out", str(out), "--jobs", "1", *rest])
+    assert code == 0
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
+    assert got == GOLDEN[case]
