@@ -40,7 +40,7 @@ from .netmodel import (
     write_edge_file,
 )
 from .config import ConfigError, LoadedConfig, load_scenario
-from .metrics import AecResult, AsdResult, aec, aoc, asd, awd, first_crossing, tts, vt
+from .metrics import AsdResult, aoc, asd, awd, first_crossing, tts
 from .threat import (
     AttackerSpec,
     AttackPhase,
@@ -53,7 +53,6 @@ from .threat import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AecResult",
     "AsdResult",
     "AttackPhase",
     "AttackerSpec",
@@ -79,7 +78,6 @@ __all__ = [
     "SyntheticNetwork",
     "Trace",
     "VulnerabilityMap",
-    "aec",
     "aoc",
     "asd",
     "assign_vulnerabilities",
@@ -101,7 +99,6 @@ __all__ = [
     "read_edge_file",
     "run",
     "tts",
-    "vt",
     "write_edge_file",
     "__version__",
 ]

@@ -14,23 +14,14 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
-from . import metrics, sweeps
+from . import sweeps
 from .config import ConfigError, LoadedConfig, load_scenario
-from .defense import DefenderSpec, SpecError, Strategy
-from .engine import MeanTrace, Scenario, final_snapshot, monte_carlo
+from .defense import SpecError
+from .engine import final_snapshot
 from .netmodel import NetworkError, generate_synthetic_network, write_edge_file
 from .threat import CatalogError
 
 logger = logging.getLogger(__name__)
-
-_SWEEP_KEYS = (
-    "tau", "q", "budget", "x",
-    "m3", "m4", "ini_comp",
-    "eta1", "eta2", "fpr", "fnr",
-)
-_INT_KEYS = {"budget", "x", "m3", "m4", "ini_comp"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -67,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--config", required=True, help="scenario file")
     swp.add_argument("--out", required=True, help="output directory")
     swp.add_argument("--sweep", action="append", required=True, metavar="KEY=START:STOP:STEP",
-                     help=f"grid over one key ({', '.join(_SWEEP_KEYS)}); repeatable")
+                     help=f"grid over one key ({', '.join(sweeps.SWEEP_KEYS)}); repeatable")
     swp.add_argument("--seed", type=int, default=None, help="override run.seed")
     swp.add_argument("--runs", type=int, default=None, help="override run.runs")
     swp.add_argument("--jobs", type=int, default=1, help="worker processes")
@@ -104,192 +95,33 @@ def _load(args) -> LoadedConfig:
         scenario = replace(scenario, seed=args.seed)
     if args.runs is not None:
         scenario = replace(scenario, runs=args.runs)
-    return LoadedConfig(scenario, cfg.defenders, cfg.scale_attacker_with_q, cfg.attacker_q_fraction)
-
-
-def _trace_path(out: Path, spec: DefenderSpec, single: bool) -> Path:
-    return out / ("trace.csv" if single else f"trace_{spec.strategy.value}.csv")
+    return replace(cfg, scenario=scenario)
 
 
 def cmd_run(args) -> int:
     cfg = _load(args)
     out = _outdir(args.out)
-    single = len(cfg.defenders) == 1
-    means: dict[str, MeanTrace] = {}
-    rows = []
-    for spec in cfg.defenders:
-        cell = sweeps.variant(cfg.scenario, spec)
-        mean = monte_carlo(cell, jobs=args.jobs)
-        means[spec.strategy.value] = mean
-        mean.write_csv(_trace_path(out, spec, single))
-        tau = spec.tau
-        t = metrics.tts(mean, tau)
-        horizon = len(mean) - 1
-        rows.append((spec.strategy.value, tau, "tts",
-                     horizon if t is None else t, t is None))
-        rows.append((spec.strategy.value, tau, "awd", metrics.awd(mean), False))
-        rows.append((spec.strategy.value, tau, "aoc", metrics.aoc(mean), False))
+    ensembles, summary = sweeps.run_family(cfg, jobs=args.jobs)
+    single = len(ensembles) == 1
+    for cell, mean in ensembles:
+        suffix = "" if single else f"_{cell.defender.strategy.value}"
+        mean.write_csv(out / f"trace{suffix}.csv")
         if args.snapshot:
-            final_snapshot(cell, 0, out / ("snapshot.csv" if single
-                                           else f"snapshot_{spec.strategy.value}.csv"))
-    base_mean = means.get(Strategy.MONOCULTURE.value)
-    if base_mean is not None:
-        for spec in cfg.defenders:
-            if spec.strategy is Strategy.MONOCULTURE:
-                continue
-            res = metrics.asd(means[spec.strategy.value], base_mean, spec.tau)
-            if res is not None:
-                rows.append((spec.strategy.value, spec.tau, "asd", res.steps, res.censored))
-    sweeps.write_summary_csv(out / "summary.csv", rows)
+            final_snapshot(cell, 0, out / f"snapshot{suffix}.csv")
+    sweeps.write_summary_csv(out / "summary.csv", summary)
     logger.info("wrote %s", out / "summary.csv")
     return 0
-
-
-def _parse_sweep_flag(text: str) -> tuple[str, np.ndarray]:
-    key, sep, grid_text = text.partition("=")
-    key = key.strip().removeprefix("diversity.").removeprefix("attacker.").removeprefix("defender.")
-    if not sep:
-        raise ConfigError(f"sweep {text!r} is not key=start:stop:step")
-    if key not in _SWEEP_KEYS:
-        raise ConfigError(f"unknown sweep key {key!r}")
-    try:
-        grid = sweeps.parse_grid(grid_text)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    if grid.size == 0:
-        raise ConfigError(f"sweep {text!r} has an empty grid")
-    return key, grid
-
-
-def _cells_for(cfg: LoadedConfig, base: Scenario, key: str, grid: np.ndarray):
-    """(value, scenario) pairs for one swept key on one defender variant."""
-    if key == "q":
-        cells = sweeps.q_cells(base, [float(v) for v in grid],
-                               scale_attacker=cfg.scale_attacker_with_q,
-                               fraction=cfg.attacker_q_fraction)
-        return list(zip((float(v) for v in grid), cells))
-    if key == "budget":
-        budgets = [int(round(v)) for v in grid]
-        return list(zip(budgets, sweeps.budget_cells(base, budgets)))
-    out = []
-    for v in grid:
-        value = int(round(v)) if key in _INT_KEYS else float(v)
-        if key == "x":
-            pool = replace(base.pool, x=value)
-            m3, m4 = sweeps._clamp_budget(base.q, pool, base.attacker.m3, base.attacker.m4)
-            cell = replace(base, pool=pool, attacker=replace(base.attacker, m3=m3, m4=m4))
-        elif key in ("m3", "m4"):
-            att = replace(base.attacker, **{key: value})
-            m3, m4 = sweeps._clamp_budget(base.q, base.pool, att.m3, att.m4)
-            cell = replace(base, attacker=replace(att, m3=m3, m4=m4))
-        elif key == "ini_comp":
-            cell = replace(base, attacker=replace(base.attacker, initial_compromise_size=value))
-        elif key == "tau":
-            cell = replace(base, defender=replace(base.defender, tau=value))
-        else:
-            cell = replace(base, defender=replace(base.defender, **{key: value}))
-        out.append((value, cell))
-    return out
 
 
 def cmd_sweep(args) -> int:
     cfg = _load(args)
     out = _outdir(args.out)
-    swept = [_parse_sweep_flag(s) for s in args.sweep]
-    keys = [k for k, _ in swept]
-    if len(set(keys)) != len(keys):
-        raise ConfigError("each sweep key may appear once")
-    single_key = keys[0] if len(keys) == 1 else None
-
-    rows: list[dict] = []
-    summary: list[tuple] = []
-    crossings: dict[str, float | None] = {}
-    specs = list(cfg.defenders)
-    if single_key in ("tau", "budget") and not any(
-        s.strategy is Strategy.MONOCULTURE for s in specs
-    ):
-        # slowdown and extra-cost compare against the undiversified twin
-        specs.append(sweeps.monoculture_baseline(cfg.scenario).defender)
-
-    for spec in specs:
-        base = sweeps.variant(cfg.scenario, spec)
-        name = spec.strategy.value
-
-        if single_key == "tau":
-            # dynamics are tau-independent: one ensemble, one row per threshold
-            mean = monte_carlo(base, jobs=args.jobs)
-            for tau in (float(v) for v in swept[0][1]):
-                cell = replace(base, defender=replace(base.defender, tau=tau))
-                rows.append(sweeps.cell_row(cell, "tau", tau, mean, tau))
-            continue
-
-        pairs = _cells_for(cfg, base, keys[0], swept[0][1])
-        for k, g in swept[1:]:
-            pairs = [
-                (f"{v};{v2}", c2)
-                for v, cell in pairs
-                for v2, c2 in _cells_for(cfg, cell, k, g)
-            ]
-        key_label = keys[0] if single_key else "+".join(keys)
-        values, curve = [], []
-        for value, cell in pairs:
-            mean = sweeps.run_cell(cell, jobs=args.jobs)
-            rows.append(sweeps.cell_row(cell, key_label, value, mean, cell.defender.tau))
-            values.append(value)
-            curve.append(metrics.awd(mean))
-
-        if single_key == "q":
-            tolerated = 0.0
-            for value, damage in zip(values, curve):
-                if damage <= spec.tau:
-                    tolerated = max(tolerated, float(value))
-            summary.append((name, spec.tau, "vt", tolerated, False))
-        elif single_key == "budget":
-            crossings[name] = metrics.first_crossing(values, curve, spec.tau)
-
-    if single_key == "tau":
-        _append_tau_summary(cfg, rows, summary)
-    elif single_key == "budget":
-        base_star = crossings.get(Strategy.MONOCULTURE.value)
-        full = cfg.scenario.pool.hbar * int(round(cfg.scenario.q * cfg.scenario.pool.x))
-        for spec in cfg.defenders:
-            name = spec.strategy.value
-            if name == Strategy.MONOCULTURE.value:
-                continue
-            star = crossings.get(name)
-            if star is None or base_star is None:
-                summary.append((name, spec.tau, "aec", None, True))
-            else:
-                count = int(star - base_star)
-                summary.append((name, spec.tau, "aec", count, False))
-                summary.append((name, spec.tau, "aec_fraction",
-                                count / full if full else 0.0, False))
-
+    swept = [sweeps.parse_sweep(text) for text in args.sweep]
+    rows, summary = sweeps.sweep(cfg, swept, jobs=args.jobs)
     sweeps.write_sweep_csv(out / "sweep.csv", rows)
     sweeps.write_summary_csv(out / "summary.csv", summary)
     logger.info("wrote %d cell rows", len(rows))
     return 0
-
-
-def _append_tau_summary(cfg, rows, summary) -> None:
-    by_strategy: dict[str, list[dict]] = {}
-    for row in rows:
-        by_strategy.setdefault(row["strategy"], []).append(row)
-    base_rows = by_strategy.get(Strategy.MONOCULTURE.value, [])
-    base_tts = {r["tau"]: (r["tts"], r["tts_censored"]) for r in base_rows}
-    horizon = cfg.scenario.t_max
-    for name, strategy_rows in by_strategy.items():
-        if name == Strategy.MONOCULTURE.value:
-            continue
-        for r in strategy_rows:
-            base = base_tts.get(r["tau"])
-            if base is None or base[1]:
-                continue
-            t_base = base[0]
-            if r["tts_censored"]:
-                summary.append((name, r["tau"], "asd", horizon - t_base, True))
-            else:
-                summary.append((name, r["tau"], "asd", r["tts"] - t_base, False))
 
 
 def main(argv=None) -> int:

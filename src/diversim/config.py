@@ -74,6 +74,22 @@ def _section(doc: dict, name: str, required: bool = True) -> dict:
     return dict(sec)
 
 
+def _integer(value) -> int:
+    # int() would truncate 4.7 to 4 and accept "4" or true
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    ):
+        raise ValueError(value)
+    return int(value)
+
+
+def _boolean(value) -> bool:
+    # bool() would read the string "false" as true
+    if not isinstance(value, bool):
+        raise ValueError(value)
+    return value
+
+
 def _take(sec: dict, name: str, kind, default=None, required: bool = False):
     if name not in sec:
         if required:
@@ -100,11 +116,11 @@ def _network(sec: dict):
     if syn is not None:
         syn = dict(syn)
         net = SyntheticNetwork(
-            n_layer1=_take(syn, "n_layer1", int, required=True),
-            n_layer2=_take(syn, "n_layer2", int, required=True),
+            n_layer1=_take(syn, "n_layer1", _integer, required=True),
+            n_layer2=_take(syn, "n_layer2", _integer, required=True),
             overlap_fraction=_take(syn, "overlap_fraction", float, required=True),
-            attachment_degree=_take(syn, "attachment_degree", int, default=3),
-            seed=_take(syn, "seed", int, default=0),
+            attachment_degree=_take(syn, "attachment_degree", _integer, default=3),
+            seed=_take(syn, "seed", _integer, default=0),
         )
         _reject_unknown(syn, "network.synthetic")
         return net, 3
@@ -126,7 +142,7 @@ def _defender_specs(sec: dict, tau: float, algo: InitialAlgo) -> tuple[DefenderS
         names = [names]
     if not isinstance(names, list) or not names:
         raise ConfigError("defender.strategy must be a name or a non-empty list")
-    hybrid_union = bool(sec.pop("hybrid_union", False))
+    hybrid_union = _take(sec, "hybrid_union", _boolean, default=False)
     knobs = {k: sec.pop(k) for k in ("eta1", "eta2", "fpr", "fnr") if k in sec}
     _reject_unknown(sec, "defender")
     specs = []
@@ -169,9 +185,9 @@ def load_scenario(path: str | Path) -> LoadedConfig:
     network, hbar = _network(_section(doc, "network"))
 
     div = _section(doc, "diversity")
-    x = _take(div, "x", int, required=True)
+    x = _take(div, "x", _integer, required=True)
     q = _take(div, "q", float, default=1.0)
-    declared_hbar = _take(div, "hbar", int)
+    declared_hbar = _take(div, "hbar", _integer)
     if declared_hbar is not None and declared_hbar != hbar:
         raise ConfigError(f"diversity.hbar={declared_hbar} but the network implies {hbar}")
     algo_name = _take(div, "initial_algo", str, default="degree_priority")
@@ -184,13 +200,13 @@ def load_scenario(path: str | Path) -> LoadedConfig:
     att = _section(doc, "attacker")
     try:
         attacker = AttackerSpec(
-            m3=_take(att, "m3", int, required=True),
-            m4=_take(att, "m4", int, required=True),
-            initial_compromise_size=_take(att, "ini_comp", int, default=0),
+            m3=_take(att, "m3", _integer, required=True),
+            m4=_take(att, "m4", _integer, required=True),
+            initial_compromise_size=_take(att, "ini_comp", _integer, default=0),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    scale_q = bool(att.pop("scale_with_q", True))
+    scale_q = _take(att, "scale_with_q", _boolean, default=True)
     fraction = _take(att, "q_fraction", float, default=0.5)
     _reject_unknown(att, "attacker")
 
@@ -199,12 +215,17 @@ def load_scenario(path: str | Path) -> LoadedConfig:
     defenders = _defender_specs(dfn, tau, algo)
 
     runsec = _section(doc, "run", required=False)
-    t_max = _take(runsec, "t_max", int, default=500)
-    runs = _take(runsec, "runs", int, default=100)
-    seed = _take(runsec, "seed", int, default=0)
-    defender_first = bool(runsec.pop("defender_first", True))
+    t_max = _take(runsec, "t_max", _integer, default=500)
+    runs = _take(runsec, "runs", _integer, default=100)
+    seed = _take(runsec, "seed", _integer, default=0)
+    defender_first = _take(runsec, "defender_first", _boolean, default=True)
     _reject_unknown(runsec, "run")
 
+    # a monoculture defender would force x=1 on the base; sweeps.variant derives
+    # its single-implementation twin from a base that keeps the configured pool
+    base_defender = next(
+        (d for d in defenders if d.strategy is not Strategy.MONOCULTURE), defenders[0]
+    )
     try:
         pool = ImplementationPool(hbar, x)
         scenario = Scenario(
@@ -212,7 +233,7 @@ def load_scenario(path: str | Path) -> LoadedConfig:
             pool=pool,
             q=q,
             attacker=attacker,
-            defender=defenders[0],
+            defender=base_defender,
             t_max=t_max,
             runs=runs,
             seed=seed,

@@ -46,6 +46,7 @@ from .netmodel import (
     gather_neighbors,
     generate_synthetic_network,
     load_network_files,
+    vulnerable_count,
 )
 from .rng import Purpose, substream
 from .threat import (
@@ -131,7 +132,7 @@ class Scenario:
             raise ValueError("q outside [0, 1]")
         if self.defender.strategy is Strategy.MONOCULTURE and self.pool.x != 1:
             raise _defense_mod.SpecError("monoculture requires a single implementation (x=1)")
-        k = int(round(self.q * self.pool.x))
+        k = vulnerable_count(self.q, self.pool.x)
         if self.attacker.m3 > k:
             raise CatalogError(f"m3={self.attacker.m3} exceeds {k} vulnerable OS implementations")
         n_apps = self.pool.hbar - 1
@@ -307,7 +308,7 @@ def init_run(
     state[ini] = COMPROMISED
 
     knowledge = AttackerKnowledge.empty(graph.n_nodes)
-    knowledge.observe(ini, installed, 0)
+    knowledge.observe(ini, installed)
     agent_alive = np.zeros(graph.n_nodes, dtype=bool)
     agent_phase = np.zeros(graph.n_nodes, dtype=np.int8)
     agent_spawned = np.full(graph.n_nodes, -1, dtype=np.int32)
@@ -340,10 +341,10 @@ def init_run(
     return rs
 
 
-def _mark_compromised(rs: RunState, nodes: np.ndarray, t: int) -> None:
+def _mark_compromised(rs: RunState, nodes: np.ndarray) -> None:
     rs.state[nodes] = COMPROMISED
     # the attacker controls these nodes now; its information on them is current
-    rs.knowledge.observe(nodes, rs.installed, t)
+    rs.knowledge.observe(nodes, rs.installed)
 
 
 def _attack_substep(rs: RunState, t: int) -> int:
@@ -360,7 +361,7 @@ def _attack_substep(rs: RunState, t: int) -> int:
         if discovering.size:
             nbrs = gather_neighbors(g.indptr, g.indices, discovering)
             obs = np.concatenate([discovering, nbrs])
-            fresh += rs.knowledge.observe(obs, rs.installed, t)
+            fresh += rs.knowledge.observe(obs, rs.installed)
         escalating = hosts[ph == AttackPhase.PRIVILEGE_ESCALATION]
         if escalating.size:
             apps = escalating[g.is_app[escalating]]
@@ -371,7 +372,7 @@ def _attack_substep(rs: RunState, t: int) -> int:
                     & rs.privesc_mask[rs.installed[os_targets]]
                 ]
                 if hit.size:
-                    _mark_compromised(rs, hit, t)
+                    _mark_compromised(rs, hit)
                     newly.append(hit)
         moving = hosts[ph == AttackPhase.LATERAL_MOVEMENT]
         if moving.size:
@@ -385,7 +386,7 @@ def _attack_substep(rs: RunState, t: int) -> int:
             )
             hit = np.unique(nbrs[ok])
             if hit.size:
-                _mark_compromised(rs, hit, t)
+                _mark_compromised(rs, hit)
                 newly.append(hit)
         rs.damage_events += int((ph == AttackPhase.DAMAGE).sum())
         rs.agent_phase[hosts] = PHASE_AFTER[ph]
@@ -395,7 +396,7 @@ def _attack_substep(rs: RunState, t: int) -> int:
         g.is_app & (rs.state != COMPROMISED) & (rs.state[g.os_node] == COMPROMISED)
     )
     if spread.size:
-        _mark_compromised(rs, spread, t)
+        _mark_compromised(rs, spread)
         newly.append(spread)
 
     if newly:

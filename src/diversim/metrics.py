@@ -3,9 +3,9 @@
 Time-to-succeed (tts), attack-worst-damage (awd), and the per-run
 operational cost sum (aoc) reduce a single mean trace. Attack-slowdown
 (asd) compares a diversified trace against the monoculture baseline.
-Attack-extra-cost (aec), vulnerability tolerance (vt), and the operational
-cost extrema reduce families of scenarios swept along a grid; the cells run
-through the sweep helpers.
+``first_crossing`` locates a threshold crossing along a swept grid; the
+sweep-level metrics built on it, attack-extra-cost (aec) and vulnerability
+tolerance (vt), live in ``sweeps``.
 
 ``None`` encodes a metric that was not achieved within the horizon.
 """
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -24,12 +24,6 @@ logger = logging.getLogger(__name__)
 class AsdResult:
     steps: int
     censored: bool
-
-
-@dataclass(frozen=True)
-class AecResult:
-    count: int
-    fraction: float
 
 
 def tts(trace, tau: float) -> int | None:
@@ -80,74 +74,3 @@ def first_crossing(grid: Sequence[float], values: Sequence[float], tau: float):
         logger.warning("curve not monotone along grid; first crossing used as-is")
     hits = np.flatnonzero(values > tau)
     return grid[int(hits[0])] if hits.size else None
-
-
-def aec(base, defenders, tau: float, budgets: Sequence[int], jobs: int = 1) -> dict[str, AecResult | None]:
-    """Extra exploit budget each strategy forces on the attacker.
-
-    For every strategy the minimal grid budget whose worst damage exceeds
-    tau is compared against the monoculture baseline's. Reported as a count
-    and as a fraction of the full catalog (programs times vulnerable
-    implementations).
-    """
-    from . import sweeps
-
-    budgets = list(budgets)
-    baseline_awd = [awd(sweeps.run_cell(c, jobs=jobs)) for c in sweeps.budget_cells(sweeps.monoculture_baseline(base), budgets)]
-    base_star = first_crossing(budgets, baseline_awd, tau)
-    full = base.pool.hbar * int(round(base.q * base.pool.x))
-    out: dict[str, AecResult | None] = {}
-    for spec in defenders:
-        cells = sweeps.budget_cells(sweeps.variant(base, spec), budgets)
-        curve = [awd(sweeps.run_cell(c, jobs=jobs)) for c in cells]
-        star = first_crossing(budgets, curve, tau)
-        if star is None or base_star is None:
-            out[spec.strategy.value] = None
-        else:
-            count = int(star - base_star)
-            out[spec.strategy.value] = AecResult(count, count / full if full else 0.0)
-    return out
-
-
-def vt(
-    base,
-    defenders,
-    tau: float,
-    q_grid: Sequence[float],
-    attacker_fraction: float = 0.5,
-    jobs: int = 1,
-) -> dict[str, float]:
-    """Largest software quality each strategy tolerates.
-
-    The attacker scales with q (per-program exploit count =
-    round(attacker_fraction * x * q)). The result is the largest grid q
-    whose worst damage stays within tau, or 0.0 if none does.
-    """
-    from . import sweeps
-
-    out: dict[str, float] = {}
-    for spec in defenders:
-        cells = sweeps.q_cells(sweeps.variant(base, spec), q_grid, fraction=attacker_fraction)
-        tolerated = 0.0
-        for q, cell in zip(q_grid, cells):
-            if awd(sweeps.run_cell(cell, jobs=jobs)) <= tau:
-                tolerated = max(tolerated, float(q))
-        out[spec.strategy.value] = tolerated
-    return out
-
-
-def aoc_extrema(cells: Sequence, tau: float, jobs: int = 1) -> tuple[float, float] | None:
-    """Min and max operational cost over family members holding awd <= tau.
-
-    None when no member keeps the damage within tolerance.
-    """
-    from . import sweeps
-
-    costs = []
-    for cell in cells:
-        trace = sweeps.run_cell(cell, jobs=jobs)
-        if awd(trace) <= tau:
-            costs.append(aoc(trace))
-    if not costs:
-        return None
-    return min(costs), max(costs)

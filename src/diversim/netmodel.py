@@ -187,7 +187,6 @@ class CommGraph:
         self.sp_edges = sp
         self.sp_indptr, self.sp_indices = _csr(self.n_nodes, sp)
         self.degree = np.diff(self.indptr)
-        self.layers = layers
 
     def neighbors(self, node: int) -> np.ndarray:
         return self.indices[self.indptr[node]:self.indptr[node + 1]]
@@ -239,15 +238,20 @@ class VulnerabilityMap:
     q: float
 
 
+def vulnerable_count(q: float, x: int) -> int:
+    """How many of a program's ``x`` implementations are vulnerable at quality q."""
+    return int(round(q * x))
+
+
 def assign_vulnerabilities(pool: ImplementationPool, q: float, rng: np.random.Generator) -> VulnerabilityMap:
-    """Mark exactly round(q * x) implementations of every program vulnerable.
+    """Mark exactly vulnerable_count(q, x) implementations of every program vulnerable.
 
     The draw is a permutation prefix, so with a shared stream a larger q
     yields a superset of a smaller q's vulnerable set.
     """
     if not 0.0 <= q <= 1.0:
         raise NetworkError(f"software quality q={q} outside [0, 1]")
-    k = int(round(q * pool.x))
+    k = vulnerable_count(q, pool.x)
     vul = np.zeros((pool.hbar, pool.x), dtype=bool)
     for p in range(pool.hbar):
         vul[p, rng.permutation(pool.x)[:k]] = True

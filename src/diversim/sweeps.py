@@ -1,9 +1,13 @@
 """Scenario families and parameter sweeps.
 
-A sweep executes a Cartesian grid of independent scenario cells, each a
-Monte Carlo ensemble, and reduces the cells to metric rows. Cells share
-the master seed: sweeping a knob compares like against like, with all
-random substreams coupled across cells.
+``run_family`` runs one Monte Carlo ensemble per defender of a loaded
+scenario family. ``sweep`` expands the family and the swept keys into a
+Cartesian grid of independent cells, runs every cell, and reduces the cells
+to ``sweep.csv`` rows and ``summary.csv`` rows. The metrics that compare
+ensembles are defined here: asd against the monoculture twin, vt along a q
+sweep and aec along a budget sweep; the per-trace reductions they use live
+in ``metrics``. Cells share the master seed: sweeping a knob compares like
+against like, with all random substreams coupled across cells.
 """
 from __future__ import annotations
 
@@ -16,12 +20,20 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import metrics
+from .config import ConfigError, LoadedConfig
 from .defense import DefenderSpec, InitialAlgo, Strategy
 from .engine import MeanTrace, Scenario, monte_carlo
-from .netmodel import ImplementationPool
-from .threat import AttackerSpec
+from .netmodel import ImplementationPool, vulnerable_count
 
 logger = logging.getLogger(__name__)
+
+SWEEP_KEYS = (
+    "tau", "q", "budget", "x",
+    "m3", "m4", "ini_comp",
+    "eta1", "eta2", "fpr", "fnr",
+)
+_INT_KEYS = {"budget", "x", "m3", "m4", "ini_comp"}
+_MONOCULTURE = Strategy.MONOCULTURE.value
 
 
 def variant(base: Scenario, defender: DefenderSpec) -> Scenario:
@@ -39,7 +51,7 @@ def monoculture_baseline(base: Scenario, defender: DefenderSpec | None = None) -
         defender = DefenderSpec(
             Strategy.MONOCULTURE, tau=base.defender.tau, initial_algo=InitialAlgo.RANDOM
         )
-    k = int(round(base.q * 1))
+    k = vulnerable_count(base.q, pool.x)
     attacker = replace(
         base.attacker,
         m3=min(base.attacker.m3, k),
@@ -50,7 +62,7 @@ def monoculture_baseline(base: Scenario, defender: DefenderSpec | None = None) -
 
 def _clamp_budget(q: float, pool: ImplementationPool, m3: int, m4: int) -> tuple[int, int]:
     # a grid budget beyond the vulnerable supply saturates instead of failing
-    k = int(round(q * pool.x))
+    k = vulnerable_count(q, pool.x)
     n_apps = pool.hbar - 1
     return min(m3, k), min(m4, n_apps * k)
 
@@ -97,6 +109,202 @@ def run_cell(
     scenario: Scenario, jobs: int = 1, executor: ProcessPoolExecutor | None = None
 ) -> MeanTrace:
     return monte_carlo(scenario, jobs=jobs, executor=executor)
+
+
+# --- cell expansion -------------------------------------------------------------
+
+def parse_sweep(text: str) -> tuple[str, np.ndarray]:
+    """Parse one ``key=start:stop:step`` sweep flag into (key, grid)."""
+    key, sep, grid_text = text.partition("=")
+    key = key.strip().removeprefix("diversity.").removeprefix("attacker.").removeprefix("defender.")
+    if not sep:
+        raise ConfigError(f"sweep {text!r} is not key=start:stop:step")
+    if key not in SWEEP_KEYS:
+        raise ConfigError(f"unknown sweep key {key!r}")
+    try:
+        grid = parse_grid(grid_text)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    if grid.size == 0:
+        raise ConfigError(f"sweep {text!r} has an empty grid")
+    return key, grid
+
+
+def _key_cells(cfg: LoadedConfig, base: Scenario, key: str, grid: np.ndarray) -> list[tuple]:
+    """(value, cell) pairs setting one swept key of ``base`` along its grid."""
+    if key == "q":
+        qs = [float(v) for v in grid]
+        cells = q_cells(base, qs, scale_attacker=cfg.scale_attacker_with_q,
+                        fraction=cfg.attacker_q_fraction)
+        return list(zip(qs, cells))
+    if key == "budget":
+        budgets = [int(round(v)) for v in grid]
+        return list(zip(budgets, budget_cells(base, budgets)))
+    out = []
+    for v in grid:
+        value = int(round(v)) if key in _INT_KEYS else float(v)
+        att = base.attacker
+        if key == "x":
+            if base.defender.strategy is Strategy.MONOCULTURE:
+                cell = base  # the undiversified twin keeps its single implementation
+            else:
+                pool = replace(base.pool, x=value)
+                m3, m4 = _clamp_budget(base.q, pool, att.m3, att.m4)
+                cell = replace(base, pool=pool, attacker=replace(att, m3=m3, m4=m4))
+        elif key in ("m3", "m4"):
+            att = replace(att, **{key: value})
+            m3, m4 = _clamp_budget(base.q, base.pool, att.m3, att.m4)
+            cell = replace(base, attacker=replace(att, m3=m3, m4=m4))
+        elif key == "ini_comp":
+            cell = replace(base, attacker=replace(att, initial_compromise_size=value))
+        else:
+            cell = replace(base, defender=replace(base.defender, **{key: value}))
+        out.append((value, cell))
+    return out
+
+
+def _expand(
+    cfg: LoadedConfig, base: Scenario, swept: Sequence[tuple[str, np.ndarray]]
+) -> list[tuple]:
+    """(value, cell) pairs over the Cartesian product of the swept grids;
+    the values of several keys are joined by ';'."""
+    (key, grid), *rest = swept
+    pairs = _key_cells(cfg, base, key, grid)
+    for key, grid in rest:
+        pairs = [
+            (f"{v};{v2}", c2)
+            for v, cell in pairs
+            for v2, c2 in _key_cells(cfg, cell, key, grid)
+        ]
+    return pairs
+
+
+# --- execution and derived metrics ---------------------------------------------------
+
+def run_family(cfg: LoadedConfig, jobs: int = 1) -> tuple[list[tuple], list[tuple]]:
+    """One ensemble per defender of the family.
+
+    Returns (cell, mean trace) per defender, and summary rows: tts, awd and
+    aoc per defender, then asd against a monoculture member.
+    """
+    ensembles, summary = [], []
+    for spec in cfg.defenders:
+        cell = variant(cfg.scenario, spec)
+        mean = run_cell(cell, jobs=jobs)
+        ensembles.append((cell, mean))
+        name, tau = spec.strategy.value, spec.tau
+        t = metrics.tts(mean, tau)
+        summary += [
+            (name, tau, "tts", len(mean) - 1 if t is None else t, t is None),
+            (name, tau, "awd", metrics.awd(mean), False),
+            (name, tau, "aoc", metrics.aoc(mean), False),
+        ]
+    means = {cell.defender.strategy.value: mean for cell, mean in ensembles}
+    summary += _asd_rows(cfg.defenders, means)
+    return ensembles, summary
+
+
+def sweep(
+    cfg: LoadedConfig, swept: Sequence[tuple[str, np.ndarray]], jobs: int = 1
+) -> tuple[list[dict], list[tuple]]:
+    """Run every cell of the family along the swept grids.
+
+    Returns one sweep row per cell, and the summary rows a single swept key
+    derives: asd per threshold of a tau sweep, vt of a q sweep and aec of a
+    budget sweep. Tau and budget sweeps add the monoculture twin when the
+    family has no monoculture member.
+    """
+    keys = [k for k, _ in swept]
+    if len(set(keys)) != len(keys):
+        raise ConfigError("each sweep key may appear once")
+    single = keys[0] if len(keys) == 1 else None
+    specs = list(cfg.defenders)
+    if single in ("tau", "budget") and not any(s.strategy is Strategy.MONOCULTURE for s in specs):
+        specs.append(monoculture_baseline(cfg.scenario).defender)
+
+    rows: list[dict] = []
+    summary: list[tuple] = []
+    means: dict[str, MeanTrace] = {}
+    crossings: dict = {}
+    for spec in specs:
+        base = variant(cfg.scenario, spec)
+        name = spec.strategy.value
+        pairs = _expand(cfg, base, swept)
+        if single == "tau":
+            # dynamics are tau-independent: one ensemble, one row per threshold
+            means[name] = mean = run_cell(base, jobs=jobs)
+            rows += [cell_row(cell, "tau", tau, mean, tau) for tau, cell in pairs]
+            continue
+        values, curve = [], []
+        for value, cell in pairs:
+            mean = run_cell(cell, jobs=jobs)
+            row = cell_row(cell, "+".join(keys), value, mean, cell.defender.tau)
+            rows.append(row)
+            values.append(value)
+            curve.append(row["awd"])
+        if single == "q":
+            summary.append((name, spec.tau, "vt", _vt(values, curve, spec.tau), False))
+        elif single == "budget":
+            crossings[name] = metrics.first_crossing(values, curve, spec.tau)
+
+    if single == "tau":
+        summary += _asd_rows(specs, means, [float(v) for v in swept[0][1]])
+    elif single == "budget":
+        summary += _aec_rows(cfg, crossings)
+    return rows, summary
+
+
+def _asd_rows(
+    specs: Sequence[DefenderSpec], means: dict, taus: Sequence[float] | None = None
+) -> list[tuple]:
+    """asd of every diversified defender against the monoculture mean trace,
+    at each of ``taus`` or else at the defender's own tau; a tau the
+    baseline never breaches gives no row."""
+    baseline = means.get(_MONOCULTURE)
+    if baseline is None:
+        return []
+    rows = []
+    for spec in specs:
+        if spec.strategy is Strategy.MONOCULTURE:
+            continue
+        name = spec.strategy.value
+        for tau in [spec.tau] if taus is None else taus:
+            res = metrics.asd(means[name], baseline, tau)
+            if res is not None:
+                rows.append((name, tau, "asd", res.steps, res.censored))
+    return rows
+
+
+def _vt(qs: Sequence[float], awds: Sequence[float], tau: float) -> float:
+    """Vulnerability tolerance: the largest swept q whose worst damage stays
+    within tau, or 0.0 if none does."""
+    return max((float(q) for q, damage in zip(qs, awds) if damage <= tau), default=0.0)
+
+
+def _aec_rows(cfg: LoadedConfig, crossings: dict) -> list[tuple]:
+    """Attack extra cost per diversified defender.
+
+    The first swept budget whose worst damage exceeds tau, minus the
+    monoculture twin's; reported as a count and as a fraction of the full
+    catalog (programs times vulnerable implementations), and censored when
+    either curve never crosses.
+    """
+    base_star = crossings.get(_MONOCULTURE)
+    scn = cfg.scenario
+    full = scn.pool.hbar * vulnerable_count(scn.q, scn.pool.x)
+    rows = []
+    for spec in cfg.defenders:
+        name = spec.strategy.value
+        if spec.strategy is Strategy.MONOCULTURE:
+            continue
+        star = crossings.get(name)
+        if star is None or base_star is None:
+            rows.append((name, spec.tau, "aec", None, True))
+        else:
+            count = int(star - base_star)
+            rows.append((name, spec.tau, "aec", count, False))
+            rows.append((name, spec.tau, "aec_fraction", count / full if full else 0.0, False))
+    return rows
 
 
 # --- CSV output ---------------------------------------------------------------

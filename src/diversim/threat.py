@@ -25,6 +25,7 @@ from .netmodel import (
     CommGraph,
     ImplementationPool,
     VulnerabilityMap,
+    vulnerable_count,
 )
 
 logger = logging.getLogger(__name__)
@@ -93,14 +94,11 @@ class AttackerSpec:
     m3: int
     m4: int
     initial_compromise_size: int
-    goal: str = "cumulative-compromise"
     initial_nodes: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.m3 < 0 or self.m4 < 0 or self.initial_compromise_size < 0:
             raise ValueError("attacker sizes must be non-negative")
-        if self.goal != "cumulative-compromise":
-            raise ValueError(f"unsupported attacker goal {self.goal!r}")
 
 
 def attack_investment(catalog: ExploitCatalog) -> int:
@@ -110,7 +108,7 @@ def attack_investment(catalog: ExploitCatalog) -> int:
 
 def max_catalog(pool: ImplementationPool, q: float) -> tuple[int, int]:
     """Largest feasible (m3, m4) for a pool at quality q."""
-    k = int(round(q * pool.x))
+    k = vulnerable_count(q, pool.x)
     return k, k * (pool.hbar - 1)
 
 
@@ -157,22 +155,19 @@ class AttackerKnowledge:
 
     known: np.ndarray
     impl: np.ndarray
-    time: np.ndarray
 
     @classmethod
     def empty(cls, n_nodes: int) -> "AttackerKnowledge":
         return cls(
             known=np.zeros(n_nodes, dtype=bool),
             impl=np.full(n_nodes, -1, dtype=np.int16),
-            time=np.full(n_nodes, -1, dtype=np.int32),
         )
 
-    def observe(self, nodes: np.ndarray, installed: np.ndarray, t: int) -> int:
+    def observe(self, nodes: np.ndarray, installed: np.ndarray) -> int:
         """Record observations; returns how many entries gained information."""
         fresh = int((~self.known[nodes] | (self.impl[nodes] != installed[nodes])).sum())
         self.known[nodes] = True
         self.impl[nodes] = installed[nodes]
-        self.time[nodes] = t
         return fresh
 
     def matches(self, node: int, installed: np.ndarray) -> bool:

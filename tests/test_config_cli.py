@@ -1,4 +1,6 @@
 """Scenario files and the command line front end."""
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -137,6 +139,48 @@ def test_config_rejections(tmp_path, mutation, match):
         load_scenario(path)
 
 
+@pytest.mark.parametrize(
+    "mutation",
+    [
+        lambda s: s.replace("  ini_comp: 2", "  ini_comp: 2\n  scale_with_q: \"false\""),
+        lambda s: s.replace("  seed: 1", "  seed: 1\n  defender_first: \"false\""),
+        lambda s: s.replace(
+            "strategy: static",
+            "strategy: hybrid\n  eta1: 0.5\n  eta2: 0.2\n  fpr: 0.1\n  fnr: 0.1\n"
+            "  hybrid_union: \"false\"",
+        ),
+        lambda s: s.replace("  x: 3", "  x: 4.7"),
+        lambda s: s.replace("  x: 3", "  x: \"3\""),
+        lambda s: s.replace("  runs: 3", "  runs: true"),
+    ],
+    ids=["scale_with_q-string", "defender_first-string", "hybrid_union-string",
+         "x-fractional", "x-string", "runs-bool"],
+)
+def test_scalar_keys_are_not_coerced(tmp_path, capsys, mutation):
+    path = write_config(tmp_path)
+    path.write_text(mutation(path.read_text()))
+    with pytest.raises(ConfigError, match="invalid value"):
+        load_scenario(path)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "invalid value" in capsys.readouterr().err
+
+
+def test_integral_float_is_an_integer(tmp_path):
+    path = write_config(tmp_path)
+    path.write_text(path.read_text().replace("  x: 3", "  x: 3.0"))
+    assert load_scenario(path).scenario.pool.x == 3
+
+
+def test_monoculture_first_in_family(tmp_path):
+    cfgp = write_config(tmp_path, strategy="[monoculture, static]")
+    cfg = load_scenario(cfgp)
+    assert cfg.scenario.defender.strategy is Strategy.STATIC
+    assert cfg.scenario.pool.x == 3
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfgp), "--out", str(out)]) == 0
+    assert ",asd," in (out / "summary.csv").read_text()
+
+
 def test_infeasible_catalog_rejected(tmp_path):
     path = write_config(tmp_path)
     path.write_text(path.read_text().replace("m3: 1", "m3: 9"))
@@ -147,6 +191,14 @@ def test_infeasible_catalog_rejected(tmp_path):
 def test_missing_file(tmp_path):
     with pytest.raises(ConfigError, match="not found"):
         load_scenario(tmp_path / "nope.yaml")
+
+
+def test_bundled_scenarios_load():
+    paths = sorted((Path(__file__).resolve().parent.parent / "scenarios").glob("*.yaml"))
+    assert [p.stem for p in paths] == ["defense_cost", "quality_tolerance", "strategy_slowdown"]
+    for path in paths:
+        cfg = load_scenario(path)
+        assert (cfg.scenario.t_max, cfg.scenario.runs, cfg.scenario.seed) == (500, 100, 7)
 
 
 # --- gen-network -----------------------------------------------------------------------
@@ -245,6 +297,23 @@ def test_sweep_budget_reports_extra_cost(tmp_path):
                  "--sweep", "budget=0:6:2"]) == 0
     summary = (out / "summary.csv").read_text()
     assert ",aec," in summary
+
+
+def test_sweep_x_keeps_monoculture_at_one_implementation(tmp_path):
+    extra = "  fpr: 0.1\n  fnr: 0.1\n"
+    outs = {}
+    for label, strategy in (("with", "[static, reactive, monoculture]"),
+                            ("without", "[static, reactive]")):
+        cfgp = write_config(tmp_path, strategy=strategy, extra=extra, name=f"{label}.yaml")
+        outs[label] = tmp_path / label
+        assert main(["sweep", "--config", str(cfgp), "--out", str(outs[label]),
+                     "--sweep", "x=2:4:1"]) == 0
+    header, *with_rows = (outs["with"] / "sweep.csv").read_text().splitlines()
+    without_rows = (outs["without"] / "sweep.csv").read_text().splitlines()[1:]
+    mono = [dict(zip(header.split(","), r.split(","))) for r in with_rows
+            if r.startswith("monoculture,")]
+    assert [(r["x"], r["swept_value"]) for r in mono] == [("1", "2"), ("1", "3"), ("1", "4")]
+    assert [r for r in with_rows if not r.startswith("monoculture,")] == without_rows
 
 
 def test_sweep_multi_key_cartesian(tmp_path):

@@ -8,6 +8,7 @@ from diversim import (
     ImplementationPool,
     InitialAlgo,
     Layer,
+    LoadedConfig,
     Strategy,
     aoc,
     asd,
@@ -16,9 +17,7 @@ from diversim import (
     first_crossing,
     run,
     tts,
-    vt,
 )
-from diversim.metrics import aoc_extrema
 from diversim import sweeps
 from diversim.netmodel import COMPROMISED
 
@@ -176,25 +175,15 @@ def test_summary_csv_format(tmp_path):
 # --- end-to-end metric behavior on small ensembles -------------------------------------
 
 def test_vt_reactive_dominates_static():
-    base = small_base()
-    specs = [
-        DefenderSpec(Strategy.STATIC, initial_algo=InitialAlgo.RANDOM),
-        DefenderSpec(Strategy.REACTIVE_ADAPTIVE, fpr=0.0, fnr=0.0),
-    ]
-    out = vt(base, specs, tau=0.45, q_grid=[0.0, 0.5, 1.0])
+    specs = (
+        DefenderSpec(Strategy.STATIC, tau=0.45, initial_algo=InitialAlgo.RANDOM),
+        DefenderSpec(Strategy.REACTIVE_ADAPTIVE, tau=0.45, fpr=0.0, fnr=0.0),
+    )
+    cfg = LoadedConfig(small_base(), specs, scale_attacker_with_q=True, attacker_q_fraction=0.5)
+    _, summary = sweeps.sweep(cfg, [("q", np.array([0.0, 0.5, 1.0]))])
+    out = {name: value for name, _, metric, value, _ in summary if metric == "vt"}
     assert out["reactive"] >= out["static"]
     assert out["reactive"] == 1.0  # a perfect detector contains everything
-
-
-def test_aoc_extrema_over_family():
-    base = small_base(defender=DefenderSpec(Strategy.PROACTIVE, eta1=0.5, eta2=0.5))
-    lazy = sweeps.variant(base, DefenderSpec(Strategy.PROACTIVE, eta1=0.25, eta2=0.5))
-    got = aoc_extrema([base, lazy], tau=1.0)
-    assert got is not None
-    lo, hi = got
-    assert 0.0 < lo <= hi
-    # nothing survives an impossible tolerance
-    assert aoc_extrema([base], tau=-0.1) is None
 
 
 def test_coupled_budgets_nest_compromise_sets():
