@@ -1,0 +1,239 @@
+"""Scalar reference model of the simulation, for differential tests.
+
+``agent_decide`` is the attacker's per-phase decision for one agent, worked
+out node by node. ``ReferenceRun`` builds a whole step on it with plain
+Python loops: defender plan, detection and redeployment, the agents' phase
+passes, OS spread and the computer-level frame. It starts from the t=0 state
+of ``diversim.engine.init_run`` and draws from the same ``rng.Purpose``
+substreams, in the same order and sizes, as the engine, so the two must
+agree state for state and trace row for trace row.
+"""
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from diversim.defense import Strategy
+from diversim.engine import init_run
+from diversim.netmodel import COMPROMISED, INVULNERABLE, VULNERABLE, vulnerable_count
+from diversim.rng import Purpose, substream
+from diversim.threat import PHASE_AFTER, AttackPhase, ExploitCatalog
+
+
+@dataclass
+class AttackAgent:
+    host: int
+    phase: AttackPhase
+    spawned_at: int
+
+
+@dataclass(frozen=True)
+class AttackAction:
+    """One agent's move: ``kind`` is install/observe/compromise/damage;
+    ``targets`` lists affected nodes (observed or to-compromise)."""
+
+    kind: str
+    targets: tuple[int, ...] = ()
+
+
+def matches(knowledge, node: int, installed) -> bool:
+    """Whether the attacker's record of ``node`` still names its installed
+    implementation; a node never observed is recorded as -1."""
+    return int(knowledge.impl[node]) == int(installed[node])
+
+
+def agent_decide(agent, knowledge, catalog, graph, config_installed, state) -> AttackAction:
+    """Deterministic action for the agent's current phase.
+
+    Discovery observes the host and all neighbors. Privilege escalation
+    targets the local OS when the host is an application, the OS is
+    state-vulnerable, and its implementation is a catalog target. Lateral
+    movement targets every known, state-vulnerable neighbor whose recorded
+    implementation still matches and is a catalog target. Install and damage
+    change no node state.
+    """
+    host = agent.host
+    if agent.phase == AttackPhase.INSTALL:
+        return AttackAction("install", (host,))
+    if agent.phase == AttackPhase.DISCOVERY:
+        nbrs = graph.neighbors(host)
+        return AttackAction("observe", (host, *(int(w) for w in nbrs)))
+    if agent.phase == AttackPhase.PRIVILEGE_ESCALATION:
+        if graph.program[host] == graph.os_program:
+            return AttackAction("compromise")
+        osn = int(graph.os_node[host])
+        if state[osn] == VULNERABLE and int(config_installed[osn]) in catalog.privilege_escalation:
+            return AttackAction("compromise", (osn,))
+        return AttackAction("compromise")
+    if agent.phase == AttackPhase.LATERAL_MOVEMENT:
+        hits = []
+        for w in graph.neighbors(host):
+            w = int(w)
+            if state[w] != VULNERABLE:
+                continue
+            if not matches(knowledge, w, config_installed):
+                continue
+            if (int(graph.program[w]), int(config_installed[w])) in catalog.lateral:
+                hits.append(w)
+        return AttackAction("compromise", tuple(hits))
+    return AttackAction("damage", (host,))
+
+
+@dataclass
+class Knowledge:
+    """The attacker's recorded implementation per node, -1 if never observed."""
+
+    impl: list[int]
+
+    def observe(self, nodes, installed) -> None:
+        for v in nodes:
+            self.impl[v] = installed[v]
+
+
+def vulnerable_table(scenario, run_index: int) -> list[list[bool]]:
+    """Vulnerable implementations per program, drawn as the engine draws them."""
+    rng = substream(scenario.seed, run_index, Purpose.VULNERABILITY)
+    x = scenario.pool.x
+    k = vulnerable_count(scenario.q, x)
+    table = []
+    for _ in range(scenario.pool.hbar):
+        row = [False] * x
+        for i in rng.permutation(x)[:k]:
+            row[int(i)] = True
+        table.append(row)
+    return table
+
+
+class ReferenceRun:
+    """One run, stepped node by node.
+
+    ``rows`` holds one (cc, vc, ic, oc, new_compromised) tuple per recorded
+    step, counts as in ``engine.Trace``.
+    """
+
+    def __init__(self, scenario, run_index: int, graph):
+        rs = init_run(scenario, run_index, graph=graph)
+        self.scenario = scenario
+        self.graph = graph
+        self.vulnerable = vulnerable_table(scenario, run_index)
+        self.installed = [int(i) for i in rs.installed]
+        self.state = [int(s) for s in rs.state]
+        self.knowledge = Knowledge([int(i) for i in rs.knowledge.impl])
+        self.catalog = ExploitCatalog(
+            frozenset(int(i) for i in np.flatnonzero(rs.privesc_mask)),
+            frozenset((int(p), int(i)) for p, i in zip(*np.nonzero(rs.lateral_mask))),
+        )
+        self.agents = {
+            int(v): AttackAgent(int(v), AttackPhase(int(rs.agent_phase[v])), 0)
+            for v in np.flatnonzero(rs.agent_alive)
+        }
+        self.rng_detector = substream(scenario.seed, run_index, Purpose.DETECTOR)
+        self.rng_redeploy = substream(scenario.seed, run_index, Purpose.REDEPLOY)
+        self.rng_proactive = substream(scenario.seed, run_index, Purpose.PROACTIVE_SAMPLE)
+        footholds = sum(1 for s in self.state if s == COMPROMISED)
+        self.rows = [(*self._frame(), 0.0, footholds)]
+
+    def step(self, t: int) -> None:
+        if self.scenario.defender_first:
+            oc = self._defend(t)
+            new = self._attack(t)
+        else:
+            new = self._attack(t)
+            oc = self._defend(t)
+        self.rows.append((*self._frame(), oc, new))
+
+    # --- defender ---------------------------------------------------------------
+
+    def _sample(self) -> set[int]:
+        n = self.graph.n_nodes
+        k = math.ceil(self.scenario.defender.eta1 * n)
+        return {int(v) for v in self.rng_proactive.choice(n, size=k, replace=False)}
+
+    def _detect(self) -> set[int]:
+        spec = self.scenario.defender
+        u = self.rng_detector.random(self.graph.n_nodes)
+        flagged = set()
+        for v, s in enumerate(self.state):
+            p = 1.0 - spec.fnr if s == COMPROMISED else spec.fpr
+            if u[v] < p:
+                flagged.add(v)
+        return flagged
+
+    def _plan(self, t: int) -> list[int]:
+        spec = self.scenario.defender
+        s = spec.strategy
+        if s in (Strategy.MONOCULTURE, Strategy.STATIC):
+            return []
+        if s is Strategy.REACTIVE_ADAPTIVE:
+            return sorted(self._detect())
+        if t % spec.period != 0:
+            return []
+        if s is Strategy.PROACTIVE:
+            return sorted(self._sample())
+        flagged = self._detect()
+        if spec.hybrid_union:
+            flagged |= self._sample()
+        return sorted(flagged)
+
+    def _defend(self, t: int) -> float:
+        nodes = self._plan(t)
+        if not nodes:
+            return 0.0
+        x = self.scenario.pool.x
+        draws = self.rng_redeploy.integers(0, x - 1, size=len(nodes)) if x > 1 else None
+        for k, v in enumerate(nodes):
+            if draws is not None:
+                r = int(draws[k])
+                # uniform over the other implementations: skip the current one
+                self.installed[v] = r + 1 if r >= self.installed[v] else r
+            program = int(self.graph.program[v])
+            vulnerable = self.vulnerable[program][self.installed[v]]
+            self.state[v] = VULNERABLE if vulnerable else INVULNERABLE
+            self.agents.pop(v, None)
+        return len(nodes) / self.graph.n_nodes
+
+    # --- attacker ---------------------------------------------------------------
+
+    def _compromise(self, v: int, newly: list[int]) -> None:
+        self.state[v] = COMPROMISED
+        self.knowledge.impl[v] = self.installed[v]
+        newly.append(v)
+
+    def _attack(self, t: int) -> int:
+        g = self.graph
+        acting = [self.agents[h] for h in sorted(self.agents)]
+        newly: list[int] = []
+        for phase in AttackPhase:
+            for agent in acting:
+                if agent.phase != phase:
+                    continue
+                act = agent_decide(agent, self.knowledge, self.catalog, g, self.installed, self.state)
+                if act.kind == "observe":
+                    self.knowledge.observe(act.targets, self.installed)
+                elif act.kind == "compromise":
+                    for v in act.targets:
+                        self._compromise(v, newly)
+        for agent in acting:
+            agent.phase = AttackPhase(int(PHASE_AFTER[agent.phase]))
+        for v in range(g.n_nodes):
+            osn = int(g.os_node[v])
+            if g.is_app[v] and self.state[v] != COMPROMISED and self.state[osn] == COMPROMISED:
+                self._compromise(v, newly)
+        for v in newly:
+            self.agents[v] = AttackAgent(v, AttackPhase.INSTALL, t)
+        return len(newly)
+
+    # --- frame ------------------------------------------------------------------
+
+    def _frame(self) -> tuple[int, int, int]:
+        g = self.graph
+        cc = vc = 0
+        for c in range(g.n_computers):
+            states = self.state[int(g.comp_start[c]):int(g.comp_start[c + 1])]
+            if COMPROMISED in states:
+                cc += 1
+            elif VULNERABLE in states:
+                vc += 1
+        return cc, vc, g.n_computers - cc - vc
