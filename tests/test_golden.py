@@ -100,13 +100,23 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("case,strategies,scale,argv", CASES, ids=[c[0] for c in CASES])
-def test_golden_outputs(tmp_path, case, strategies, scale, argv):
+def outputs(tmp_path, strategies, scale, argv, jobs):
+    """SHA-256 of every file one invocation writes, by file name."""
     cfg = tmp_path / "scenario.yaml"
     cfg.write_text(CONFIG.format(strategies=strategies, scale=scale))
     out = tmp_path / "out"
     command, rest = argv[0], argv[1:]
-    code = main([command, "--config", str(cfg), "--out", str(out), "--jobs", "1", *rest])
+    code = main([command, "--config", str(cfg), "--out", str(out), "--jobs", str(jobs), *rest])
     assert code == 0
-    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
-    assert got == GOLDEN[case]
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
+
+
+@pytest.mark.parametrize("case,strategies,scale,argv", CASES, ids=[c[0] for c in CASES])
+def test_golden_outputs(tmp_path, case, strategies, scale, argv):
+    assert outputs(tmp_path, strategies, scale, argv, jobs=1) == GOLDEN[case]
+
+
+def test_golden_run_family_with_two_jobs(tmp_path):
+    # the process-pool path of monte_carlo must write the same bytes
+    case, strategies, scale, argv = CASES[0]
+    assert outputs(tmp_path, strategies, scale, argv, jobs=2) == GOLDEN[case]
