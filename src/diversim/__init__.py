@@ -8,7 +8,6 @@ seed, and security metrics reduce the ensemble-mean traces.
 from .defense import DefenderSpec, Detector, InitialAlgo, SpecError, Strategy
 from .diversity import (
     ColoringReport,
-    DiversityConfig,
     color_flipping,
     count_defective_edges,
     degree_priority_assignment,
@@ -31,7 +30,6 @@ from .netmodel import (
     ImplementationPool,
     Layer,
     NetworkError,
-    VulnerabilityMap,
     assign_vulnerabilities,
     build_graph,
     generate_synthetic_network,
@@ -62,7 +60,6 @@ __all__ = [
     "ConfigError",
     "DefenderSpec",
     "Detector",
-    "DiversityConfig",
     "ExploitCatalog",
     "ImplementationPool",
     "InitialAlgo",
@@ -77,7 +74,6 @@ __all__ = [
     "Strategy",
     "SyntheticNetwork",
     "Trace",
-    "VulnerabilityMap",
     "aoc",
     "asd",
     "assign_vulnerabilities",

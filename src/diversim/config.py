@@ -83,6 +83,13 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _real(value) -> float:
+    # float() would accept "0.3" and true
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(value)
+    return float(value)
+
+
 def _boolean(value) -> bool:
     # bool() would read the string "false" as true
     if not isinstance(value, bool):
@@ -118,7 +125,7 @@ def _network(sec: dict):
         net = SyntheticNetwork(
             n_layer1=_take(syn, "n_layer1", _integer, required=True),
             n_layer2=_take(syn, "n_layer2", _integer, required=True),
-            overlap_fraction=_take(syn, "overlap_fraction", float, required=True),
+            overlap_fraction=_take(syn, "overlap_fraction", _real, required=True),
             attachment_degree=_take(syn, "attachment_degree", _integer, default=3),
             seed=_take(syn, "seed", _integer, default=0),
         )
@@ -143,7 +150,7 @@ def _defender_specs(sec: dict, tau: float, algo: InitialAlgo) -> tuple[DefenderS
     if not isinstance(names, list) or not names:
         raise ConfigError("defender.strategy must be a name or a non-empty list")
     hybrid_union = _take(sec, "hybrid_union", _boolean, default=False)
-    knobs = {k: sec.pop(k) for k in ("eta1", "eta2", "fpr", "fnr") if k in sec}
+    knobs = {k: _take(sec, k, _real) for k in ("eta1", "eta2", "fpr", "fnr") if k in sec}
     _reject_unknown(sec, "defender")
     specs = []
     for name in names:
@@ -163,7 +170,7 @@ def _defender_specs(sec: dict, tau: float, algo: InitialAlgo) -> tuple[DefenderS
                 tau=tau,
                 initial_algo=algo,
                 hybrid_union=hybrid_union and strategy is Strategy.HYBRID,
-                **{k: float(v) for k, v in knobs.items() if k in wanted},
+                **{k: v for k, v in knobs.items() if k in wanted},
             )
         except SpecError as exc:
             raise ConfigError(str(exc)) from None
@@ -186,7 +193,7 @@ def load_scenario(path: str | Path) -> LoadedConfig:
 
     div = _section(doc, "diversity")
     x = _take(div, "x", _integer, required=True)
-    q = _take(div, "q", float, default=1.0)
+    q = _take(div, "q", _real, default=1.0)
     declared_hbar = _take(div, "hbar", _integer)
     if declared_hbar is not None and declared_hbar != hbar:
         raise ConfigError(f"diversity.hbar={declared_hbar} but the network implies {hbar}")
@@ -207,11 +214,11 @@ def load_scenario(path: str | Path) -> LoadedConfig:
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     scale_q = _take(att, "scale_with_q", _boolean, default=True)
-    fraction = _take(att, "q_fraction", float, default=0.5)
+    fraction = _take(att, "q_fraction", _real, default=0.5)
     _reject_unknown(att, "attacker")
 
     dfn = _section(doc, "defender")
-    tau = _take(dfn, "tau", float, default=1.0 / 3.0)
+    tau = _take(dfn, "tau", _real, default=1.0 / 3.0)
     defenders = _defender_specs(dfn, tau, algo)
 
     runsec = _section(doc, "run", required=False)

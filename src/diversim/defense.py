@@ -28,7 +28,6 @@ from .netmodel import (
     VULNERABLE,
     CommGraph,
     ImplementationPool,
-    VulnerabilityMap,
 )
 
 logger = logging.getLogger(__name__)
@@ -160,7 +159,7 @@ def plan(
 def redeploy(
     graph: CommGraph,
     pool: ImplementationPool,
-    vuln: VulnerabilityMap,
+    vulnerable: np.ndarray,
     installed: np.ndarray,
     state: np.ndarray,
     nodes: np.ndarray,
@@ -169,7 +168,8 @@ def redeploy(
     """Replace implementations on ``nodes``; returns (installed', state', oc).
 
     The new implementation is uniform over the program's other
-    implementations; x == 1 reinstalls the same one. A redeployed node is
+    implementations; x == 1 reinstalls the same one. ``vulnerable`` is the
+    (hbar, x) table of vulnerable implementations. A redeployed node is
     never compromised afterwards.
     """
     new_inst = installed.copy()
@@ -180,7 +180,7 @@ def redeploy(
             r = r + (r >= installed[nodes])
             new_inst[nodes] = r.astype(installed.dtype)
         new_state[nodes] = np.where(
-            vuln.vulnerable[graph.program[nodes], new_inst[nodes]],
+            vulnerable[graph.program[nodes], new_inst[nodes]],
             VULNERABLE,
             INVULNERABLE,
         )

@@ -1,6 +1,7 @@
 """Diversity configurations: which implementation runs on which node.
 
-A configuration assigns every node an implementation index of its program.
+A configuration, an ``int16`` array indexed by node id, assigns every node an
+implementation index of its program.
 An edge is defective when both endpoints run the same program with the same
 implementation; only same-program edges (inter-computer links) can be
 defective. Three initial assignment algorithms are provided: uniform random,
@@ -19,13 +20,6 @@ from .netmodel import CommGraph, ImplementationPool
 logger = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True, eq=False)
-class DiversityConfig:
-    """Installed implementation index per node."""
-
-    installed: np.ndarray
-
-
 @dataclass(frozen=True)
 class ColoringReport:
     defective_edges: int
@@ -33,8 +27,7 @@ class ColoringReport:
     sweeps: int
 
 
-def count_defective_edges(graph: CommGraph, config: DiversityConfig) -> ColoringReport:
-    inst = config.installed
+def count_defective_edges(graph: CommGraph, inst: np.ndarray) -> ColoringReport:
     e = graph.sp_edges
     if len(e) == 0:
         return ColoringReport(0, tuple(0 for _ in range(graph.hbar)), 0)
@@ -43,9 +36,9 @@ def count_defective_edges(graph: CommGraph, config: DiversityConfig) -> Coloring
     return ColoringReport(int(bad.sum()), tuple(int(c) for c in per), 0)
 
 
-def random_coloring(graph: CommGraph, pool: ImplementationPool, rng: np.random.Generator) -> DiversityConfig:
+def random_coloring(graph: CommGraph, pool: ImplementationPool, rng: np.random.Generator) -> np.ndarray:
     """Uniform independent implementation per node."""
-    return DiversityConfig(rng.integers(0, pool.x, size=graph.n_nodes, dtype=np.int16))
+    return rng.integers(0, pool.x, size=graph.n_nodes, dtype=np.int16)
 
 
 def _local_counts(graph: CommGraph, inst: np.ndarray, v: int, x: int) -> np.ndarray:
@@ -63,14 +56,14 @@ def color_flipping(
     pool: ImplementationPool,
     rng: np.random.Generator,
     max_sweeps: int = 50,
-) -> tuple[DiversityConfig, ColoringReport]:
+) -> tuple[np.ndarray, ColoringReport]:
     """Greedy repair of a random start.
 
     Sweeps nodes in ascending id; a node flips to the implementation with
     strictly fewest defective incident edges (ties to the lowest index).
     Stops at a fixed point or after ``max_sweeps`` full sweeps.
     """
-    inst = random_coloring(graph, pool, rng).installed.copy()
+    inst = random_coloring(graph, pool, rng)
     sweeps = 0
     for _ in range(max_sweeps):
         changed = False
@@ -83,15 +76,14 @@ def color_flipping(
         sweeps += 1
         if not changed:
             break
-    config = DiversityConfig(inst)
-    base = count_defective_edges(graph, config)
-    return config, ColoringReport(base.defective_edges, base.per_program, sweeps)
+    base = count_defective_edges(graph, inst)
+    return inst, ColoringReport(base.defective_edges, base.per_program, sweeps)
 
 
 def degree_priority_assignment(
     graph: CommGraph,
     pool: ImplementationPool,
-) -> tuple[DiversityConfig, ColoringReport]:
+) -> tuple[np.ndarray, ColoringReport]:
     """Deterministic degree-priority heuristic.
 
     Programs are processed one at a time, applications first, then the OS.
@@ -136,9 +128,8 @@ def degree_priority_assignment(
                     pick = int(inst[low])
             inst[v] = pick
         total_sweeps += _switching(graph, inst, members, x)
-    config = DiversityConfig(inst)
-    base = count_defective_edges(graph, config)
-    return config, ColoringReport(base.defective_edges, base.per_program, total_sweeps)
+    base = count_defective_edges(graph, inst)
+    return inst, ColoringReport(base.defective_edges, base.per_program, total_sweeps)
 
 
 def _switching(graph: CommGraph, inst: np.ndarray, members: np.ndarray, x: int) -> int:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import logging
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -27,20 +27,13 @@ import numpy as np
 
 from . import defense as _defense_mod
 from .defense import DefenderSpec, InitialAlgo, Strategy
-from .diversity import (
-    DiversityConfig,
-    color_flipping,
-    degree_priority_assignment,
-    random_coloring,
-)
+from .diversity import color_flipping, degree_priority_assignment, random_coloring
 from .netmodel import (
     COMPROMISED,
     INVULNERABLE,
     VULNERABLE,
     CommGraph,
     ImplementationPool,
-    Layer,
-    VulnerabilityMap,
     assign_vulnerabilities,
     build_graph,
     gather_neighbors,
@@ -143,11 +136,27 @@ class Scenario:
 
 # --- traces -------------------------------------------------------------------
 
-_TRACE_HEADER = "t,cc,vc,ic,oc,new_compromised"
+class _TraceRows:
+    """The trace CSV shared by one run's trace and an ensemble mean."""
+
+    def __len__(self) -> int:
+        return len(self.oc)
+
+    def write_csv(self, path: str | Path) -> None:
+        # new_compromised is a count in one run and a mean over an ensemble
+        new_fmt = "d" if self.new_compromised.dtype.kind == "i" else ".6f"
+        cc, vc, ic = self.cc, self.vc, self.ic
+        with open(path, "w") as fh:
+            fh.write("t,cc,vc,ic,oc,new_compromised\n")
+            for t in range(len(self.oc)):
+                fh.write(
+                    f"{t},{cc[t]:.6f},{vc[t]:.6f},{ic[t]:.6f},"
+                    f"{self.oc[t]:.6f},{self.new_compromised[t]:{new_fmt}}\n"
+                )
 
 
 @dataclass(eq=False)
-class Trace:
+class Trace(_TraceRows):
     """Per-step computer-level outcome of one run.
 
     Fractions are stored as exact integer counts over ``n_computers``; the
@@ -173,22 +182,14 @@ class Trace:
     def ic(self) -> np.ndarray:
         return self.ic_count / self.n_computers
 
-    def __len__(self) -> int:
-        return len(self.oc)
-
-    def write_csv(self, path: str | Path) -> None:
-        with open(path, "w") as fh:
-            fh.write(_TRACE_HEADER + "\n")
-            cc, vc, ic = self.cc, self.vc, self.ic
-            for t in range(len(self.oc)):
-                fh.write(
-                    f"{t},{cc[t]:.6f},{vc[t]:.6f},{ic[t]:.6f},"
-                    f"{self.oc[t]:.6f},{int(self.new_compromised[t])}\n"
-                )
+    @classmethod
+    def zeros(cls, n_computers: int, rows: int) -> "Trace":
+        counts = (np.zeros(rows, dtype=np.int64) for _ in range(3))
+        return cls(n_computers, *counts, np.zeros(rows), np.zeros(rows, dtype=np.int64))
 
 
 @dataclass(eq=False)
-class MeanTrace:
+class MeanTrace(_TraceRows):
     """Element-wise ensemble mean over runs."""
 
     cc: np.ndarray
@@ -196,29 +197,18 @@ class MeanTrace:
     ic: np.ndarray
     oc: np.ndarray
     new_compromised: np.ndarray
-    runs: int
-
-    def __len__(self) -> int:
-        return len(self.oc)
-
-    def write_csv(self, path: str | Path) -> None:
-        with open(path, "w") as fh:
-            fh.write(_TRACE_HEADER + "\n")
-            for t in range(len(self.oc)):
-                fh.write(
-                    f"{t},{self.cc[t]:.6f},{self.vc[t]:.6f},{self.ic[t]:.6f},"
-                    f"{self.oc[t]:.6f},{self.new_compromised[t]:.6f}\n"
-                )
 
 
 # --- run state ----------------------------------------------------------------
 
 @dataclass(eq=False)
 class RunState:
+    """What a step reads and writes; ``trace`` has one row per step,
+    filled up to the current one."""
+
     scenario: Scenario
     graph: CommGraph
-    run_index: int
-    vuln: VulnerabilityMap
+    vulnerable: np.ndarray
     installed: np.ndarray
     state: np.ndarray
     privesc_mask: np.ndarray
@@ -226,19 +216,11 @@ class RunState:
     knowledge: AttackerKnowledge
     agent_alive: np.ndarray
     agent_phase: np.ndarray
-    agent_spawned: np.ndarray
-    remote_access: np.ndarray
     rng_detector: np.random.Generator
     rng_redeploy: np.random.Generator
     rng_proactive: np.random.Generator
-    ini_shortfall: int = 0
-    damage_events: int = 0
+    trace: Trace
     quiet_steps: int = 0
-    _cc: list = field(default_factory=list)
-    _vc: list = field(default_factory=list)
-    _ic: list = field(default_factory=list)
-    _oc: list = field(default_factory=list)
-    _new: list = field(default_factory=list)
 
     @property
     def pool(self) -> ImplementationPool:
@@ -253,10 +235,10 @@ def _initial_config(
     algo = scenario.defender.initial_algo
     rng = substream(scenario.seed, run_index, Purpose.COLORING)
     if algo is InitialAlgo.RANDOM:
-        return random_coloring(graph, scenario.pool, rng).installed
+        return random_coloring(graph, scenario.pool, rng)
     if algo is InitialAlgo.COLOR_FLIP:
-        return color_flipping(graph, scenario.pool, rng)[0].installed.copy()
-    return degree_priority_assignment(graph, scenario.pool)[0].installed.astype(np.int16)
+        return color_flipping(graph, scenario.pool, rng)[0]
+    return degree_priority_assignment(graph, scenario.pool)[0]
 
 
 def init_run(
@@ -278,49 +260,44 @@ def init_run(
             f"pool has {scenario.pool.hbar} programs but the network implies {graph.hbar}"
         )
     pool = scenario.pool
-    vuln = assign_vulnerabilities(
+    vulnerable = assign_vulnerabilities(
         pool, scenario.q, substream(scenario.seed, run_index, Purpose.VULNERABILITY)
     )
     installed = _initial_config(scenario, graph, run_index, fixed_installed)
     catalog = build_exploit_catalog(
         pool,
-        vuln,
+        vulnerable,
         scenario.attacker.m3,
         scenario.attacker.m4,
         substream(scenario.seed, run_index, Purpose.CATALOG),
     )
     state = np.where(
-        vuln.vulnerable[graph.program, installed], VULNERABLE, INVULNERABLE
+        vulnerable[graph.program, installed], VULNERABLE, INVULNERABLE
     ).astype(np.int8)
     if scenario.attacker.initial_nodes is not None:
         ini = np.asarray(sorted(scenario.attacker.initial_nodes), dtype=np.int64)
-        shortfall = 0
     else:
-        picked = initial_compromise(
+        ini = initial_compromise(
             graph,
             installed,
             catalog,
-            vuln,
+            vulnerable,
             scenario.attacker.initial_compromise_size,
             substream(scenario.seed, run_index, Purpose.INITIAL_COMPROMISE),
-        )
-        ini, shortfall = picked.nodes, picked.shortfall
+        ).nodes
     state[ini] = COMPROMISED
 
     knowledge = AttackerKnowledge.empty(graph.n_nodes)
     knowledge.observe(ini, installed)
     agent_alive = np.zeros(graph.n_nodes, dtype=bool)
     agent_phase = np.zeros(graph.n_nodes, dtype=np.int8)
-    agent_spawned = np.full(graph.n_nodes, -1, dtype=np.int32)
     agent_alive[ini] = True
     agent_phase[ini] = AttackPhase.INSTALL
-    agent_spawned[ini] = 0
 
     rs = RunState(
         scenario=scenario,
         graph=graph,
-        run_index=run_index,
-        vuln=vuln,
+        vulnerable=vulnerable,
         installed=installed,
         state=state,
         privesc_mask=catalog.privesc_mask(pool),
@@ -328,16 +305,13 @@ def init_run(
         knowledge=knowledge,
         agent_alive=agent_alive,
         agent_phase=agent_phase,
-        agent_spawned=agent_spawned,
-        remote_access=np.zeros(graph.n_nodes, dtype=bool),
         rng_detector=substream(scenario.seed, run_index, Purpose.DETECTOR),
         rng_redeploy=substream(scenario.seed, run_index, Purpose.REDEPLOY),
         rng_proactive=substream(scenario.seed, run_index, Purpose.PROACTIVE_SAMPLE),
-        ini_shortfall=shortfall,
+        trace=Trace.zeros(graph.n_computers, scenario.t_max + 1),
     )
-    rs._oc.append(0.0)
-    rs._new.append(int(ini.size))
-    _record_frame(rs)
+    rs.trace.new_compromised[0] = ini.size
+    _record_frame(rs, 0)
     return rs
 
 
@@ -354,9 +328,6 @@ def _attack_substep(rs: RunState, t: int) -> int:
     hosts = np.flatnonzero(rs.agent_alive)
     if hosts.size:
         ph = rs.agent_phase[hosts]
-        installing = hosts[ph == AttackPhase.INSTALL]
-        if installing.size:
-            rs.remote_access[installing] = True
         discovering = hosts[ph == AttackPhase.DISCOVERY]
         if discovering.size:
             nbrs = gather_neighbors(g.indptr, g.indices, discovering)
@@ -377,18 +348,15 @@ def _attack_substep(rs: RunState, t: int) -> int:
         moving = hosts[ph == AttackPhase.LATERAL_MOVEMENT]
         if moving.size:
             nbrs = gather_neighbors(g.indptr, g.indices, moving)
-            know = rs.knowledge
             ok = (
                 (rs.state[nbrs] == VULNERABLE)
-                & know.known[nbrs]
-                & (know.impl[nbrs] == rs.installed[nbrs])
+                & (rs.knowledge.impl[nbrs] == rs.installed[nbrs])
                 & rs.lateral_mask[g.program[nbrs], rs.installed[nbrs]]
             )
             hit = np.unique(nbrs[ok])
             if hit.size:
                 _mark_compromised(rs, hit)
                 newly.append(hit)
-        rs.damage_events += int((ph == AttackPhase.DAMAGE).sum())
         rs.agent_phase[hosts] = PHASE_AFTER[ph]
 
     # a compromised OS takes all of its applications down in the same step
@@ -403,7 +371,6 @@ def _attack_substep(rs: RunState, t: int) -> int:
         nodes = np.concatenate(newly)
         rs.agent_alive[nodes] = True
         rs.agent_phase[nodes] = AttackPhase.INSTALL
-        rs.agent_spawned[nodes] = t
         rs.quiet_steps = 0
         return int(nodes.size)
     if fresh:
@@ -418,7 +385,7 @@ def _defense_substep(rs: RunState, t: int) -> float:
     nodes = _defense_mod.plan(spec, t, rs.state, rs.graph, rs.rng_detector, rs.rng_proactive)
     if nodes.size:
         rs.installed, rs.state, oc = _defense_mod.redeploy(
-            rs.graph, rs.pool, rs.vuln, rs.installed, rs.state, nodes, rs.rng_redeploy
+            rs.graph, rs.pool, rs.vulnerable, rs.installed, rs.state, nodes, rs.rng_redeploy
         )
         rs.agent_alive[nodes] = False
         rs.quiet_steps = 0
@@ -426,39 +393,27 @@ def _defense_substep(rs: RunState, t: int) -> float:
     return 0.0
 
 
-def _record_frame(rs: RunState) -> None:
+def _record_frame(rs: RunState, t: int) -> None:
     starts = rs.graph.comp_start[:-1]
     has_comp = np.logical_or.reduceat(rs.state == COMPROMISED, starts)
     has_vul = np.logical_or.reduceat(rs.state == VULNERABLE, starts)
-    cc = int(has_comp.sum())
-    vc = int((~has_comp & has_vul).sum())
-    rs._cc.append(cc)
-    rs._vc.append(vc)
-    rs._ic.append(rs.graph.n_computers - cc - vc)
+    tr = rs.trace
+    tr.cc_count[t] = has_comp.sum()
+    tr.vc_count[t] = (~has_comp & has_vul).sum()
+    tr.ic_count[t] = tr.n_computers - tr.cc_count[t] - tr.vc_count[t]
 
 
 def step(rs: RunState, t: int) -> None:
-    """Advance one time step, appending one trace row."""
+    """Advance one time step, filling trace row t."""
     if rs.scenario.defender_first:
         oc = _defense_substep(rs, t)
         new = _attack_substep(rs, t)
     else:
         new = _attack_substep(rs, t)
         oc = _defense_substep(rs, t)
-    rs._oc.append(oc)
-    rs._new.append(new)
-    _record_frame(rs)
-
-
-def _trace_from(rs: RunState) -> Trace:
-    return Trace(
-        n_computers=rs.graph.n_computers,
-        cc_count=np.asarray(rs._cc, dtype=np.int64),
-        vc_count=np.asarray(rs._vc, dtype=np.int64),
-        ic_count=np.asarray(rs._ic, dtype=np.int64),
-        oc=np.asarray(rs._oc, dtype=np.float64),
-        new_compromised=np.asarray(rs._new, dtype=np.int64),
-    )
+    rs.trace.oc[t] = oc
+    rs.trace.new_compromised[t] = new
+    _record_frame(rs, t)
 
 
 def run(
@@ -484,15 +439,13 @@ def run(
         if step_callback is not None:
             step_callback(rs, t)
         elif passive and rs.quiet_steps >= _QUIET_LIMIT and t < scenario.t_max:
-            remaining = scenario.t_max - t
-            rs._cc.extend(rs._cc[-1:] * remaining)
-            rs._vc.extend(rs._vc[-1:] * remaining)
-            rs._ic.extend(rs._ic[-1:] * remaining)
-            rs._oc.extend([0.0] * remaining)
-            rs._new.extend([0] * remaining)
+            # oc and new_compromised of the remaining rows stay zero
+            tr = rs.trace
+            for counts in (tr.cc_count, tr.vc_count, tr.ic_count):
+                counts[t + 1:] = counts[t]
             logger.debug("run %d saturated at t=%d", run_index, t)
             break
-    return _trace_from(rs)
+    return rs.trace
 
 
 # --- Monte Carlo --------------------------------------------------------------
@@ -500,7 +453,7 @@ def run(
 def _shared_coloring(scenario: Scenario, graph: CommGraph) -> np.ndarray | None:
     # degree-priority is deterministic given graph and pool: compute once
     if scenario.defender.initial_algo is InitialAlgo.DEGREE_PRIORITY:
-        return degree_priority_assignment(graph, scenario.pool)[0].installed.astype(np.int16)
+        return degree_priority_assignment(graph, scenario.pool)[0]
     return None
 
 
@@ -522,14 +475,12 @@ def mean_of(traces: Sequence[Trace]) -> MeanTrace:
         ic=ic.mean(axis=0),
         oc=oc.mean(axis=0),
         new_compromised=new.mean(axis=0),
-        runs=len(traces),
     )
 
 
 def monte_carlo(
     scenario: Scenario,
     jobs: int = 1,
-    executor: ProcessPoolExecutor | None = None,
     collect: bool = False,
 ) -> MeanTrace | tuple[MeanTrace, list[Trace]]:
     """Run the ensemble and average it.
@@ -541,16 +492,13 @@ def monte_carlo(
     graph = resolve_graph(scenario.network)
     fixed = _shared_coloring(scenario, graph)
     indices = list(range(scenario.runs))
-    if jobs <= 1 and executor is None:
+    if jobs <= 1:
         traces = [run(scenario, i, graph=graph, fixed_installed=fixed) for i in indices]
     else:
-        chunks = [c.tolist() for c in np.array_split(np.asarray(indices), max(jobs, 1)) if c.size]
+        chunks = [c.tolist() for c in np.array_split(np.asarray(indices), jobs) if c.size]
         payloads = [(scenario, graph, chunk, fixed) for chunk in chunks]
-        if executor is None:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                parts = list(pool.map(_run_chunk, payloads))
-        else:
-            parts = list(executor.map(_run_chunk, payloads))
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            parts = list(pool.map(_run_chunk, payloads))
         traces = [tr for part in parts for tr in part]
     mean = mean_of(traces)
     return (mean, traces) if collect else mean

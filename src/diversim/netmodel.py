@@ -119,7 +119,6 @@ class CommGraph:
             raise NetworkError("empty user set")
         if users_arr[0] < 0:
             raise NetworkError("negative user id")
-        self.users = np.asarray(users_arr, dtype=np.int64)
         self.n_computers = len(users_arr)
         self.hbar = len(layers) + 1
         self.os_program = self.hbar - 1
@@ -230,21 +229,14 @@ def gather_neighbors(indptr: np.ndarray, indices: np.ndarray, hosts: np.ndarray)
 
 # --- vulnerability assignment ------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class VulnerabilityMap:
-    """Which implementations are vulnerable; row per program, column per impl."""
-
-    vulnerable: np.ndarray
-    q: float
-
-
 def vulnerable_count(q: float, x: int) -> int:
     """How many of a program's ``x`` implementations are vulnerable at quality q."""
     return int(round(q * x))
 
 
-def assign_vulnerabilities(pool: ImplementationPool, q: float, rng: np.random.Generator) -> VulnerabilityMap:
-    """Mark exactly vulnerable_count(q, x) implementations of every program vulnerable.
+def assign_vulnerabilities(pool: ImplementationPool, q: float, rng: np.random.Generator) -> np.ndarray:
+    """Which implementations are vulnerable: a (hbar, x) boolean array, row per
+    program, with exactly vulnerable_count(q, x) True in every row.
 
     The draw is a permutation prefix, so with a shared stream a larger q
     yields a superset of a smaller q's vulnerable set.
@@ -255,7 +247,7 @@ def assign_vulnerabilities(pool: ImplementationPool, q: float, rng: np.random.Ge
     vul = np.zeros((pool.hbar, pool.x), dtype=bool)
     for p in range(pool.hbar):
         vul[p, rng.permutation(pool.x)[:k]] = True
-    return VulnerabilityMap(vul, q)
+    return vul
 
 
 # --- synthetic networks -------------------------------------------------------

@@ -12,7 +12,6 @@ against like, with all random substreams coupled across cells.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -105,10 +104,8 @@ def q_cells(
     return cells
 
 
-def run_cell(
-    scenario: Scenario, jobs: int = 1, executor: ProcessPoolExecutor | None = None
-) -> MeanTrace:
-    return monte_carlo(scenario, jobs=jobs, executor=executor)
+def run_cell(scenario: Scenario, jobs: int = 1) -> MeanTrace:
+    return monte_carlo(scenario, jobs=jobs)
 
 
 # --- cell expansion -------------------------------------------------------------
@@ -127,6 +124,8 @@ def parse_sweep(text: str) -> tuple[str, np.ndarray]:
         raise ConfigError(str(exc)) from None
     if grid.size == 0:
         raise ConfigError(f"sweep {text!r} has an empty grid")
+    if key in _INT_KEYS and not all(float(v).is_integer() for v in grid):
+        raise ConfigError(f"sweep {text!r} has a non-integral value for integer key {key!r}")
     return key, grid
 
 
@@ -138,11 +137,11 @@ def _key_cells(cfg: LoadedConfig, base: Scenario, key: str, grid: np.ndarray) ->
                         fraction=cfg.attacker_q_fraction)
         return list(zip(qs, cells))
     if key == "budget":
-        budgets = [int(round(v)) for v in grid]
+        budgets = [int(v) for v in grid]
         return list(zip(budgets, budget_cells(base, budgets)))
     out = []
     for v in grid:
-        value = int(round(v)) if key in _INT_KEYS else float(v)
+        value = int(v) if key in _INT_KEYS else float(v)
         att = base.attacker
         if key == "x":
             if base.defender.strategy is Strategy.MONOCULTURE:
@@ -236,8 +235,13 @@ def sweep(
             rows += [cell_row(cell, "tau", tau, mean, tau) for tau, cell in pairs]
             continue
         values, curve = [], []
+        # an x sweep gives the monoculture twin the same cell at every value;
+        # scenarios hash by identity
+        cell_means: dict[Scenario, MeanTrace] = {}
         for value, cell in pairs:
-            mean = run_cell(cell, jobs=jobs)
+            if cell not in cell_means:
+                cell_means[cell] = run_cell(cell, jobs=jobs)
+            mean = cell_means[cell]
             row = cell_row(cell, "+".join(keys), value, mean, cell.defender.tau)
             rows.append(row)
             values.append(value)

@@ -8,25 +8,19 @@ drawn once at run start; there is no online exploit acquisition.
 
 Every compromised node hosts one agent cycling through attack phases. An
 agent first installs, then loops discovery, privilege escalation, lateral
-movement, damage. Decisions are deterministic given state and knowledge;
-all randomness enters through the catalog draw and the initial compromise.
+movement, damage; ``engine`` carries out the phases. Decisions are
+deterministic given state and knowledge; all randomness enters through the
+catalog draw and the initial compromise.
 """
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
 
-from .netmodel import (
-    COMPROMISED,
-    VULNERABLE,
-    CommGraph,
-    ImplementationPool,
-    VulnerabilityMap,
-    vulnerable_count,
-)
+from .netmodel import CommGraph, ImplementationPool, vulnerable_count
 
 logger = logging.getLogger(__name__)
 
@@ -114,19 +108,20 @@ def max_catalog(pool: ImplementationPool, q: float) -> tuple[int, int]:
 
 def build_exploit_catalog(
     pool: ImplementationPool,
-    vuln: VulnerabilityMap,
+    vulnerable: np.ndarray,
     m3: int,
     m4: int,
     rng: np.random.Generator,
 ) -> ExploitCatalog:
-    """Draw catalog targets uniformly among vulnerable implementations.
+    """Draw catalog targets uniformly among vulnerable implementations
+    (``vulnerable`` is the (hbar, x) table of ``assign_vulnerabilities``).
 
     ``m4`` is split as evenly as possible across the application kinds, with
     the remainder going to lower program indices. Draws are permutation
     prefixes, so a larger budget from a shared stream extends a smaller one.
     """
     n_apps = pool.hbar - 1
-    os_vul = np.flatnonzero(vuln.vulnerable[pool.os_program])
+    os_vul = np.flatnonzero(vulnerable[pool.os_program])
     if m3 > os_vul.size:
         raise CatalogError(f"m3={m3} exceeds {os_vul.size} vulnerable OS implementations")
     privesc = frozenset(int(i) for i in rng.permutation(os_vul)[:m3])
@@ -134,7 +129,7 @@ def build_exploit_catalog(
     lateral: set[tuple[int, int]] = set()
     for p in range(n_apps):
         share = base + (1 if p < rem else 0)
-        app_vul = np.flatnonzero(vuln.vulnerable[p])
+        app_vul = np.flatnonzero(vulnerable[p])
         if share > app_vul.size:
             raise CatalogError(
                 f"program {p} share {share} exceeds {app_vul.size} vulnerable implementations"
@@ -145,7 +140,8 @@ def build_exploit_catalog(
 
 @dataclass(eq=False)
 class AttackerKnowledge:
-    """What the attacker has observed, per node.
+    """What the attacker has observed: the implementation recorded per node,
+    -1 where the node was never observed.
 
     Entries are overwritten by newer observations; a redeployed node keeps
     its stale entry until re-discovered, so attacks against it fail
@@ -153,85 +149,19 @@ class AttackerKnowledge:
     entries are always current.
     """
 
-    known: np.ndarray
     impl: np.ndarray
 
     @classmethod
     def empty(cls, n_nodes: int) -> "AttackerKnowledge":
-        return cls(
-            known=np.zeros(n_nodes, dtype=bool),
-            impl=np.full(n_nodes, -1, dtype=np.int16),
-        )
+        return cls(np.full(n_nodes, -1, dtype=np.int16))
 
     def observe(self, nodes: np.ndarray, installed: np.ndarray) -> int:
         """Record observations; returns how many entries gained information."""
-        fresh = int((~self.known[nodes] | (self.impl[nodes] != installed[nodes])).sum())
-        self.known[nodes] = True
+        # installed implementations are never negative, so an unobserved
+        # entry always counts as fresh
+        fresh = int((self.impl[nodes] != installed[nodes]).sum())
         self.impl[nodes] = installed[nodes]
         return fresh
-
-    def matches(self, node: int, installed: np.ndarray) -> bool:
-        return bool(self.known[node]) and int(self.impl[node]) == int(installed[node])
-
-
-@dataclass
-class AttackAgent:
-    host: int
-    phase: AttackPhase
-    spawned_at: int
-
-
-@dataclass(frozen=True)
-class AttackAction:
-    """One agent's move: ``kind`` is install/observe/compromise/damage;
-    ``targets`` lists affected nodes (observed or to-compromise)."""
-
-    kind: str
-    targets: tuple[int, ...] = ()
-
-
-def agent_decide(
-    agent: AttackAgent,
-    knowledge: AttackerKnowledge,
-    catalog: ExploitCatalog,
-    graph: CommGraph,
-    config_installed: np.ndarray,
-    state: np.ndarray,
-) -> AttackAction:
-    """Deterministic action for the agent's current phase.
-
-    Discovery observes the host and all neighbors. Privilege escalation
-    targets the local OS when the host is an application, the OS is
-    state-vulnerable, and its implementation is a catalog target. Lateral
-    movement targets every known, state-vulnerable neighbor whose recorded
-    implementation still matches and is a catalog target. Install and damage
-    change no node state.
-    """
-    host = agent.host
-    if agent.phase == AttackPhase.INSTALL:
-        return AttackAction("install", (host,))
-    if agent.phase == AttackPhase.DISCOVERY:
-        nbrs = graph.neighbors(host)
-        return AttackAction("observe", (host, *(int(w) for w in nbrs)))
-    if agent.phase == AttackPhase.PRIVILEGE_ESCALATION:
-        if graph.program[host] == graph.os_program:
-            return AttackAction("compromise")
-        osn = int(graph.os_node[host])
-        if state[osn] == VULNERABLE and int(config_installed[osn]) in catalog.privilege_escalation:
-            return AttackAction("compromise", (osn,))
-        return AttackAction("compromise")
-    if agent.phase == AttackPhase.LATERAL_MOVEMENT:
-        hits = []
-        for w in graph.neighbors(host):
-            w = int(w)
-            if state[w] != VULNERABLE:
-                continue
-            if not knowledge.matches(w, config_installed):
-                continue
-            if (int(graph.program[w]), int(config_installed[w])) in catalog.lateral:
-                hits.append(w)
-        return AttackAction("compromise", tuple(hits))
-    return AttackAction("damage", (host,))
 
 
 @dataclass(frozen=True)
@@ -244,7 +174,7 @@ def initial_compromise(
     graph: CommGraph,
     config_installed: np.ndarray,
     catalog: ExploitCatalog,
-    vuln: VulnerabilityMap,
+    vulnerable: np.ndarray,
     size: int,
     rng: np.random.Generator,
 ) -> InitialCompromise:
@@ -255,7 +185,7 @@ def initial_compromise(
     vulnerable application nodes; any remaining shortfall is reported, not
     fatal.
     """
-    lateral = np.zeros((graph.hbar, vuln.vulnerable.shape[1]), dtype=bool)
+    lateral = np.zeros(vulnerable.shape, dtype=bool)
     for p, i in catalog.lateral:
         lateral[p, i] = True
     apps = np.flatnonzero(graph.is_app)
@@ -263,15 +193,15 @@ def initial_compromise(
     take = min(size, primary.size)
     chosen = rng.permutation(primary)[:take] if take else np.empty(0, dtype=np.int64)
     if take < size:
-        vulnerable = apps[vuln.vulnerable[graph.program[apps], config_installed[apps]]]
-        extra_pool = np.setdiff1d(vulnerable, chosen, assume_unique=False)
+        fallback = apps[vulnerable[graph.program[apps], config_installed[apps]]]
+        extra_pool = np.setdiff1d(fallback, chosen, assume_unique=False)
         more = min(size - take, extra_pool.size)
         if more:
             chosen = np.concatenate([chosen, rng.permutation(extra_pool)[:more]])
         shortfall = size - take - more
         if shortfall:
             # an empty attack surface makes the shortfall structural, not odd
-            level = logging.INFO if not vuln.vulnerable.any() else logging.WARNING
+            level = logging.INFO if not vulnerable.any() else logging.WARNING
             logger.log(level, "initial compromise short by %d nodes", shortfall)
     else:
         shortfall = 0

@@ -15,7 +15,6 @@ import pytest
 from diversim import (
     AttackerSpec,
     DefenderSpec,
-    DiversityConfig,
     ImplementationPool,
     InitialAlgo,
     Scenario,
@@ -255,7 +254,7 @@ def test_coloring_against_brute_force():
         for combo in itertools.product(range(x), repeat=g.n_nodes):
             inst = np.array(combo, dtype=np.int16)
             manual = int(sum(1 for a, b in sp if inst[a] == inst[b]))
-            assert count_defective_edges(g, DiversityConfig(inst)).defective_edges == manual
+            assert count_defective_edges(g, inst).defective_edges == manual
             best = manual if best is None else min(best, manual)
 
         start = count_defective_edges(g, random_coloring(g, pool, np.random.default_rng(trial)))

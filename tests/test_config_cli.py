@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from diversim import ConfigError, InitialAlgo, Strategy, load_scenario
+from diversim import ConfigError, InitialAlgo, Strategy, load_scenario, sweeps
 from diversim.cli import main
 from diversim.engine import NetworkFiles, SyntheticNetwork, resolve_graph
 
@@ -165,6 +165,33 @@ def test_scalar_keys_are_not_coerced(tmp_path, capsys, mutation):
     assert "invalid value" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "mutation",
+    [
+        lambda s: s.replace("  x: 3", "  x: 3\n  q: true"),
+        lambda s: s.replace("strategy: static", "strategy: static\n  tau: \"0.3\""),
+        lambda s: s.replace("strategy: static", "strategy: proactive\n  eta1: \"0.5\"\n  eta2: 0.2"),
+        lambda s: s.replace("strategy: static", "strategy: reactive\n  fpr: true\n  fnr: 0.1"),
+        lambda s: s.replace("  ini_comp: 2", "  ini_comp: 2\n  q_fraction: \"0.5\""),
+    ],
+    ids=["q-bool", "tau-string", "eta1-string", "fpr-bool", "q_fraction-string"],
+)
+def test_real_keys_take_only_numbers(tmp_path, capsys, mutation):
+    path = write_config(tmp_path)
+    path.write_text(mutation(path.read_text()))
+    with pytest.raises(ConfigError, match="invalid value"):
+        load_scenario(path)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "invalid value" in capsys.readouterr().err
+
+
+def test_integer_is_a_real(tmp_path):
+    path = write_config(tmp_path)
+    path.write_text(path.read_text().replace("strategy: static", "strategy: static\n  tau: 1"))
+    cfg = load_scenario(path)
+    assert cfg.scenario.q == 1.0 and cfg.defenders[0].tau == 1.0
+
+
 def test_integral_float_is_an_integer(tmp_path):
     path = write_config(tmp_path)
     path.write_text(path.read_text().replace("  x: 3", "  x: 3.0"))
@@ -314,6 +341,27 @@ def test_sweep_x_keeps_monoculture_at_one_implementation(tmp_path):
             if r.startswith("monoculture,")]
     assert [(r["x"], r["swept_value"]) for r in mono] == [("1", "2"), ("1", "3"), ("1", "4")]
     assert [r for r in with_rows if not r.startswith("monoculture,")] == without_rows
+
+
+def test_sweep_x_runs_the_monoculture_twin_once(tmp_path, monkeypatch):
+    calls = []
+    run_cell = sweeps.run_cell
+    monkeypatch.setattr(sweeps, "run_cell",
+                        lambda cell, jobs=1: calls.append(cell) or run_cell(cell, jobs=jobs))
+    cfgp = write_config(tmp_path, strategy="[static, monoculture]")
+    assert main(["sweep", "--config", str(cfgp), "--out", str(tmp_path / "out"),
+                 "--sweep", "x=2:4:1"]) == 0
+    # three static cells, one monoculture cell shared by every x value
+    assert len(calls) == 4
+
+
+@pytest.mark.parametrize("grid", ["x=2.5:3.5:1", "budget=0.5:2.5:1", "m3=0:1:0.5",
+                                  "m4=1.5:1.5:1", "ini_comp=1:2:0.5"])
+def test_sweep_integer_keys_reject_fractions(tmp_path, capsys, grid):
+    cfgp = write_config(tmp_path)
+    code = main(["sweep", "--config", str(cfgp), "--out", str(tmp_path / "out"), "--sweep", grid])
+    assert code == 2
+    assert "non-integral" in capsys.readouterr().err
 
 
 def test_sweep_multi_key_cartesian(tmp_path):

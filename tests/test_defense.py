@@ -10,7 +10,6 @@ from diversim import (
     Layer,
     SpecError,
     Strategy,
-    VulnerabilityMap,
     build_graph,
 )
 from diversim.netmodel import COMPROMISED, INVULNERABLE, VULNERABLE
@@ -168,7 +167,7 @@ def test_hybrid_union_adds_the_sample(plan_env):
 def test_redeploy_changes_impl_and_cures():
     g = build_graph([Layer.from_edges([(0, 1), (1, 2)])])
     pool = ImplementationPool(hbar=2, x=4)
-    vuln = VulnerabilityMap(np.ones((2, 4), dtype=bool), 1.0)
+    vuln = np.ones((2, 4), dtype=bool)
     installed = np.zeros(g.n_nodes, dtype=np.int16)
     state = np.full(g.n_nodes, COMPROMISED, dtype=np.int8)
     nodes = np.arange(g.n_nodes)
@@ -183,7 +182,7 @@ def test_redeploy_changes_impl_and_cures():
 def test_redeploy_single_impl_reinstalls():
     g = build_graph([Layer.from_edges([(0, 1)])])
     pool = ImplementationPool(hbar=2, x=1)
-    vuln = VulnerabilityMap(np.ones((2, 1), dtype=bool), 1.0)
+    vuln = np.ones((2, 1), dtype=bool)
     installed = np.zeros(g.n_nodes, dtype=np.int16)
     state = np.full(g.n_nodes, COMPROMISED, dtype=np.int8)
     new_inst, new_state, oc = redeploy(
@@ -198,7 +197,7 @@ def test_redeploy_state_follows_new_impl():
     pool = ImplementationPool(hbar=2, x=2)
     vul = np.zeros((2, 2), dtype=bool)
     vul[:, 0] = True  # impl 0 vulnerable, impl 1 hardened
-    vuln = VulnerabilityMap(vul, 0.5)
+    vuln = vul
     installed = np.zeros(g.n_nodes, dtype=np.int16)
     state = np.full(g.n_nodes, COMPROMISED, dtype=np.int8)
     new_inst, new_state, _ = redeploy(
@@ -211,7 +210,7 @@ def test_redeploy_state_follows_new_impl():
 def test_redeploy_empty_set_is_noop():
     g = build_graph([Layer.from_edges([(0, 1)])])
     pool = ImplementationPool(hbar=2, x=3)
-    vuln = VulnerabilityMap(np.ones((2, 3), dtype=bool), 1.0)
+    vuln = np.ones((2, 3), dtype=bool)
     installed = np.ones(g.n_nodes, dtype=np.int16)
     state = np.full(g.n_nodes, VULNERABLE, dtype=np.int8)
     new_inst, new_state, oc = redeploy(

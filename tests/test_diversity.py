@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diversim import (
-    DiversityConfig,
     ImplementationPool,
     Layer,
     build_graph,
@@ -34,9 +33,9 @@ def test_count_matches_hand_example(path_graph):
     apps = np.flatnonzero(g.is_app)
     inst = np.zeros(g.n_nodes, dtype=np.int16)
     inst[apps] = [1, 0, 1]
-    assert count_defective_edges(g, DiversityConfig(inst)).defective_edges == 0
+    assert count_defective_edges(g, inst).defective_edges == 0
     inst[apps] = [1, 1, 1]
-    rep = count_defective_edges(g, DiversityConfig(inst))
+    rep = count_defective_edges(g, inst)
     assert rep.defective_edges == 2
     assert rep.per_program == (2, 0)
 
@@ -46,7 +45,7 @@ def test_count_ignores_cross_program_matches(path_graph):
     g = path_graph
     inst = np.zeros(g.n_nodes, dtype=np.int16)
     inst[g.is_app] = [0, 1, 0]
-    assert count_defective_edges(g, DiversityConfig(inst)).defective_edges == 0
+    assert count_defective_edges(g, inst).defective_edges == 0
 
 
 def test_per_program_counts_sum(overlap_graph):
@@ -54,7 +53,7 @@ def test_per_program_counts_sum(overlap_graph):
     cfg = random_coloring(overlap_graph, pool, np.random.default_rng(0))
     rep = count_defective_edges(overlap_graph, cfg)
     assert sum(rep.per_program) == rep.defective_edges
-    assert rep.defective_edges == brute_defects(overlap_graph, cfg.installed)
+    assert rep.defective_edges == brute_defects(overlap_graph, cfg)
 
 
 def test_triangle_two_impls_reaches_optimum():
@@ -82,23 +81,23 @@ def test_star_hub_colored_first():
     apps = np.flatnonzero(g.is_app)
     hub = apps[g.degree[apps].argmax()]
     leaves = [a for a in apps if a != hub]
-    assert all(cfg.installed[l] != cfg.installed[hub] for l in leaves)
+    assert all(cfg[l] != cfg[hub] for l in leaves)
 
 
 def test_degree_priority_deterministic(overlap_graph):
     pool = ImplementationPool(hbar=overlap_graph.hbar, x=3)
     a, _ = degree_priority_assignment(overlap_graph, pool)
     b, _ = degree_priority_assignment(overlap_graph, pool)
-    assert np.array_equal(a.installed, b.installed)
+    assert np.array_equal(a, b)
 
 
 def test_degree_priority_handles_multi_layer_graphs(overlap_graph):
     # partially colored neighborhoods must not break the local tallies
     pool = ImplementationPool(hbar=overlap_graph.hbar, x=2)
     cfg, rep = degree_priority_assignment(overlap_graph, pool)
-    assert cfg.installed.min() >= 0
-    assert cfg.installed.max() < 2
-    assert rep.defective_edges == brute_defects(overlap_graph, cfg.installed)
+    assert cfg.min() >= 0
+    assert cfg.max() < 2
+    assert rep.defective_edges == brute_defects(overlap_graph, cfg)
 
 
 def test_flipping_improves_on_its_random_start():
@@ -138,11 +137,11 @@ def test_searches_count_correctly_and_terminate(graph, x, seed):
     start = random_coloring(graph, pool, np.random.default_rng(seed))
     flipped, frep = color_flipping(graph, pool, np.random.default_rng(seed))
     greedy, grep = degree_priority_assignment(graph, pool)
-    assert frep.defective_edges == brute_defects(graph, flipped.installed)
-    assert grep.defective_edges == brute_defects(graph, greedy.installed)
-    assert frep.defective_edges <= brute_defects(graph, start.installed)
+    assert frep.defective_edges == brute_defects(graph, flipped)
+    assert grep.defective_edges == brute_defects(graph, greedy)
+    assert frep.defective_edges <= brute_defects(graph, start)
     for cfg in (flipped, greedy):
-        assert cfg.installed.min() >= 0 and cfg.installed.max() < x
+        assert cfg.min() >= 0 and cfg.max() < x
 
 
 @st.composite

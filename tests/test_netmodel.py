@@ -9,7 +9,6 @@ from diversim import (
     ImplementationPool,
     Layer,
     NetworkError,
-    VulnerabilityMap,
     assign_vulnerabilities,
     build_graph,
     generate_synthetic_network,
@@ -187,15 +186,15 @@ def test_pool_validation():
 def test_vulnerable_count_rounds():
     pool = ImplementationPool(hbar=3, x=20)
     vm = assign_vulnerabilities(pool, 0.6, np.random.default_rng(0))
-    assert vm.vulnerable.shape == (3, 20)
-    assert (vm.vulnerable.sum(axis=1) == 12).all()
+    assert vm.shape == (3, 20)
+    assert (vm.sum(axis=1) == 12).all()
 
 
 @pytest.mark.parametrize("q,expect", [(0.0, 0), (1.0, 10), (0.25, 2), (0.05, 0)])
 def test_vulnerable_count_edge_cases(q, expect):
     pool = ImplementationPool(hbar=2, x=10)
     vm = assign_vulnerabilities(pool, q, np.random.default_rng(3))
-    assert (vm.vulnerable.sum(axis=1) == expect).all()
+    assert (vm.sum(axis=1) == expect).all()
 
 
 def test_vulnerability_out_of_range_rejected():
@@ -209,7 +208,7 @@ def test_vulnerable_sets_nest_as_quality_degrades():
     pool = ImplementationPool(hbar=4, x=12)
     lo = assign_vulnerabilities(pool, 0.25, np.random.default_rng(9))
     hi = assign_vulnerabilities(pool, 0.75, np.random.default_rng(9))
-    assert (~lo.vulnerable | hi.vulnerable).all()
+    assert (~lo | hi).all()
 
 
 # --- synthetic networks ----------------------------------------------------------

