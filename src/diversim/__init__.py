@@ -5,7 +5,7 @@ through phase-structured agents while the defender redeploys implementations
 under one of five strategies. Ensembles are deterministic given a master
 seed, and security metrics reduce the ensemble-mean traces.
 """
-from .defense import DefenderSpec, Detector, InitialAlgo, SpecError, Strategy
+from .defense import DefenderSpec, InitialAlgo, SpecError, Strategy
 from .diversity import (
     ColoringReport,
     color_flipping,
@@ -59,7 +59,6 @@ __all__ = [
     "CommGraph",
     "ConfigError",
     "DefenderSpec",
-    "Detector",
     "ExploitCatalog",
     "ImplementationPool",
     "InitialAlgo",

@@ -4,7 +4,8 @@ Three subcommands: ``gen-network`` emits synthetic two-layer edge lists,
 ``run`` executes one scenario file and writes the mean trace plus a metric
 summary, ``sweep`` executes a parameter grid and writes per-cell rows plus
 derived metric rows. Everything lands under ``--out``; input files are never
-touched. Exit codes: 0 success, 2 bad configuration, 3 runtime failure.
+touched. Exit codes: 0 success, 2 bad configuration (scenario file,
+options or sweep grid), 3 runtime failure.
 """
 from __future__ import annotations
 
@@ -90,12 +91,11 @@ def cmd_gen_network(args) -> int:
 
 def _load(args) -> LoadedConfig:
     cfg = load_scenario(args.config)
-    scenario = cfg.scenario
-    if args.seed is not None:
-        scenario = replace(scenario, seed=args.seed)
-    if args.runs is not None:
-        scenario = replace(scenario, runs=args.runs)
-    return replace(cfg, scenario=scenario)
+    overrides = {k: v for k, v in (("seed", args.seed), ("runs", args.runs)) if v is not None}
+    try:
+        return replace(cfg, scenario=replace(cfg.scenario, **overrides))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def cmd_run(args) -> int:

@@ -3,7 +3,9 @@ defender, and run sections.
 
 The defender section may name a single strategy or a list; a list builds a
 family of defenders sharing the section's knobs, each strategy taking only
-the parameters it supports.
+the knobs ``defense.KNOBS`` gives it. ``hybrid_union: true`` hands the
+family's ``eta1`` to the hybrid member, which then redeploys the union of
+its detections and a proactive sample.
 
 Example::
 
@@ -24,7 +26,7 @@ from pathlib import Path
 
 import yaml
 
-from .defense import DefenderSpec, InitialAlgo, SpecError, Strategy
+from .defense import KNOB_NAMES, KNOBS, DefenderSpec, InitialAlgo, SpecError, Strategy
 from .engine import NetworkFiles, Scenario, SyntheticNetwork
 from .netmodel import ImplementationPool, NetworkError
 from .threat import AttackerSpec, CatalogError
@@ -43,15 +45,6 @@ _STRATEGY_ALIASES = {
     "reactive": Strategy.REACTIVE_ADAPTIVE,
     "reactive_adaptive": Strategy.REACTIVE_ADAPTIVE,
     "hybrid": Strategy.HYBRID,
-}
-
-# which knobs each strategy consumes from the defender section
-_STRATEGY_KNOBS = {
-    Strategy.MONOCULTURE: (),
-    Strategy.STATIC: (),
-    Strategy.PROACTIVE: ("eta1", "eta2"),
-    Strategy.REACTIVE_ADAPTIVE: ("fpr", "fnr"),
-    Strategy.HYBRID: ("eta2", "fpr", "fnr"),
 }
 
 
@@ -122,13 +115,16 @@ def _network(sec: dict):
         raise ConfigError("network needs exactly one of 'synthetic' or 'files'")
     if syn is not None:
         syn = dict(syn)
-        net = SyntheticNetwork(
-            n_layer1=_take(syn, "n_layer1", _integer, required=True),
-            n_layer2=_take(syn, "n_layer2", _integer, required=True),
-            overlap_fraction=_take(syn, "overlap_fraction", _real, required=True),
-            attachment_degree=_take(syn, "attachment_degree", _integer, default=3),
-            seed=_take(syn, "seed", _integer, default=0),
-        )
+        try:
+            net = SyntheticNetwork(
+                n_layer1=_take(syn, "n_layer1", _integer, required=True),
+                n_layer2=_take(syn, "n_layer2", _integer, required=True),
+                overlap_fraction=_take(syn, "overlap_fraction", _real, required=True),
+                attachment_degree=_take(syn, "attachment_degree", _integer, default=3),
+                seed=_take(syn, "seed", _integer, default=0),
+            )
+        except NetworkError as exc:
+            raise ConfigError(str(exc)) from None
         _reject_unknown(syn, "network.synthetic")
         return net, 3
     files = dict(files)
@@ -150,27 +146,26 @@ def _defender_specs(sec: dict, tau: float, algo: InitialAlgo) -> tuple[DefenderS
     if not isinstance(names, list) or not names:
         raise ConfigError("defender.strategy must be a name or a non-empty list")
     hybrid_union = _take(sec, "hybrid_union", _boolean, default=False)
-    knobs = {k: _take(sec, k, _real) for k in ("eta1", "eta2", "fpr", "fnr") if k in sec}
+    knobs = {k: _take(sec, k, _real) for k in KNOB_NAMES if k in sec}
     _reject_unknown(sec, "defender")
     specs = []
     for name in names:
         strategy = _STRATEGY_ALIASES.get(str(name).lower())
         if strategy is None:
             raise ConfigError(f"unknown strategy {name!r}")
-        wanted = set(_STRATEGY_KNOBS[strategy])
-        if strategy is Strategy.HYBRID and hybrid_union:
-            wanted.add("eta1")
+        required, optional = KNOBS[strategy]
+        # hybrid's eta1 is the one optional knob; hybrid_union asks for it
+        wanted = required + optional if hybrid_union else required
         if single:
-            extra = set(knobs) - wanted
+            extra = set(knobs) - set(wanted)
             if extra:
                 raise ConfigError(f"{strategy.value} must leave {sorted(extra)[0]} unset")
+        absent = [k for k in wanted if k not in knobs]
+        if absent:
+            raise ConfigError(f"{strategy.value} requires {absent[0]}")
         try:
             spec = DefenderSpec(
-                strategy=strategy,
-                tau=tau,
-                initial_algo=algo,
-                hybrid_union=hybrid_union and strategy is Strategy.HYBRID,
-                **{k: v for k, v in knobs.items() if k in wanted},
+                strategy=strategy, tau=tau, initial_algo=algo, **{k: knobs[k] for k in wanted}
             )
         except SpecError as exc:
             raise ConfigError(str(exc)) from None
@@ -215,6 +210,8 @@ def load_scenario(path: str | Path) -> LoadedConfig:
         raise ConfigError(str(exc)) from None
     scale_q = _take(att, "scale_with_q", _boolean, default=True)
     fraction = _take(att, "q_fraction", _real, default=0.5)
+    if not 0.0 <= fraction <= 1.0:
+        raise ConfigError("attacker.q_fraction outside [0, 1]")
     _reject_unknown(att, "attacker")
 
     dfn = _section(doc, "defender")

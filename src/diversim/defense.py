@@ -1,12 +1,15 @@
 """Defender model: strategies, detection, and redeployment.
 
-Five strategies share one planning interface. Monoculture and Static never
-act after the initial assignment. Proactive redeploys a random sample of
-ceil(eta1 * |V|) nodes every round(1/eta2) steps. ReactiveAdaptive runs the
-detector every step and redeploys whatever it flags. Hybrid runs the
-detector only at the period instants, a detection-gated periodic cleanup;
-setting ``hybrid_union`` additionally redeploys a proactive sample at those
-instants.
+A strategy is its knobs, and ``KNOBS`` is the one statement of which knobs
+each strategy takes. Monoculture and static take none and never act after
+the initial assignment. Proactive redeploys a random sample of
+ceil(eta1 * |V|) nodes every round(1/eta2) steps. Reactive runs the
+detector (rates fpr, fnr) every step and redeploys whatever it flags.
+Hybrid runs the detector only at the period instants, a detection-gated
+periodic cleanup; a hybrid with ``eta1`` set also draws the proactive
+sample there and redeploys the union. ``plan`` reads only the knobs: a
+defender with a period acts at its multiples only, runs the detector when
+it has ``fpr`` and draws the sample when it has ``eta1``.
 
 A redeployment replaces the node's implementation with a uniformly chosen
 different one (with a single implementation, the same one is reinstalled).
@@ -48,25 +51,24 @@ class InitialAlgo(Enum):
 
 
 class SpecError(ValueError):
-    """Strategy and parameter combination violates the compatibility table."""
+    """Strategy and parameter combination violates ``KNOBS`` or a knob range."""
 
 
-@dataclass(frozen=True)
-class Detector:
-    """Per-node detector: flags a compromised node with probability 1 - fnr
-    and a non-compromised node with probability fpr."""
-
-    fpr: float
-    fnr: float
+#: the knobs each strategy requires, then the knobs it may also take
+KNOBS: dict[Strategy, tuple[tuple[str, ...], tuple[str, ...]]] = {
+    Strategy.MONOCULTURE: ((), ()),
+    Strategy.STATIC: ((), ()),
+    Strategy.PROACTIVE: (("eta1", "eta2"), ()),
+    Strategy.REACTIVE_ADAPTIVE: (("fpr", "fnr"), ()),
+    Strategy.HYBRID: (("eta2", "fpr", "fnr"), ("eta1",)),
+}
+KNOB_NAMES = ("eta1", "eta2", "fpr", "fnr")
 
 
 @dataclass(frozen=True)
 class DefenderSpec:
-    """Defender parameters; unused knobs must stay None per strategy.
-
-    monoculture/static: no knobs. proactive: eta1, eta2. reactive: fpr, fnr.
-    hybrid: eta2, fpr, fnr (eta1 only with hybrid_union).
-    """
+    """Defender parameters; a knob its strategy does not take (``KNOBS``)
+    must stay None."""
 
     strategy: Strategy
     tau: float = 1.0 / 3.0
@@ -75,25 +77,16 @@ class DefenderSpec:
     fpr: float | None = None
     fnr: float | None = None
     initial_algo: InitialAlgo = InitialAlgo.DEGREE_PRIORITY
-    hybrid_union: bool = False
 
     def __post_init__(self) -> None:
         s = self.strategy
-        want_eta1 = s is Strategy.PROACTIVE or (s is Strategy.HYBRID and self.hybrid_union)
-        want_eta2 = s in (Strategy.PROACTIVE, Strategy.HYBRID)
-        want_rates = s in (Strategy.REACTIVE_ADAPTIVE, Strategy.HYBRID)
-        for name, value, wanted in (
-            ("eta1", self.eta1, want_eta1),
-            ("eta2", self.eta2, want_eta2),
-            ("fpr", self.fpr, want_rates),
-            ("fnr", self.fnr, want_rates),
-        ):
-            if wanted and value is None:
+        required, optional = KNOBS[s]
+        for name in KNOB_NAMES:
+            value = getattr(self, name)
+            if value is None and name in required:
                 raise SpecError(f"{s.value} requires {name}")
-            if not wanted and value is not None:
+            if value is not None and name not in required + optional:
                 raise SpecError(f"{s.value} must leave {name} unset")
-        if self.hybrid_union and s is not Strategy.HYBRID:
-            raise SpecError("hybrid_union applies to the hybrid strategy only")
         if self.eta1 is not None and not 0.0 < self.eta1 <= 1.0:
             raise SpecError("eta1 outside (0, 1]")
         if self.eta2 is not None and not 0.0 < self.eta2 <= 1.0:
@@ -111,17 +104,17 @@ class DefenderSpec:
         return max(1, int(round(1.0 / self.eta2)))
 
     @property
-    def detector(self) -> Detector | None:
-        if self.fpr is None:
-            return None
-        return Detector(self.fpr, self.fnr)
+    def acts(self) -> bool:
+        """Whether ``plan`` can ever pick a node: a detector or a sample."""
+        return self.fpr is not None or self.eta1 is not None
 
 
-def detect(state: np.ndarray, detector: Detector, rng: np.random.Generator) -> np.ndarray:
-    """Flagged node ids, ascending."""
+def detect(state: np.ndarray, fpr: float, fnr: float, rng: np.random.Generator) -> np.ndarray:
+    """Flagged node ids, ascending: a compromised node is flagged with
+    probability 1 - fnr, any other node with probability fpr."""
     u = rng.random(state.shape[0])
     comp = state == COMPROMISED
-    flagged = np.where(comp, u < 1.0 - detector.fnr, u < detector.fpr)
+    flagged = np.where(comp, u < 1.0 - fnr, u < fpr)
     return np.flatnonzero(flagged)
 
 
@@ -133,27 +126,19 @@ def plan(
     rng_detect: np.random.Generator,
     rng_sample: np.random.Generator,
 ) -> np.ndarray:
-    """Node set to redeploy at step t (possibly empty)."""
-    empty = np.empty(0, dtype=np.int64)
-    s = spec.strategy
-    if s in (Strategy.MONOCULTURE, Strategy.STATIC):
-        return empty
-    if s is Strategy.PROACTIVE:
-        if t % spec.period != 0:
-            return empty
-        k = math.ceil(spec.eta1 * graph.n_nodes)
-        return np.sort(rng_sample.choice(graph.n_nodes, size=k, replace=False))
-    if s is Strategy.REACTIVE_ADAPTIVE:
-        return detect(state, spec.detector, rng_detect)
-    # hybrid: detection gated by the period
-    if t % spec.period != 0:
-        return empty
-    flagged = detect(state, spec.detector, rng_detect)
-    if spec.hybrid_union:
+    """Node set to redeploy at step t (possibly empty), ascending."""
+    nodes = np.empty(0, dtype=np.int64)
+    period = spec.period
+    if period is not None and t % period:
+        return nodes
+    if spec.fpr is not None:
+        nodes = detect(state, spec.fpr, spec.fnr, rng_detect)
+    if spec.eta1 is not None:
         k = math.ceil(spec.eta1 * graph.n_nodes)
         sample = rng_sample.choice(graph.n_nodes, size=k, replace=False)
-        flagged = np.union1d(flagged, sample)
-    return flagged
+        # np.union1d costs several times the sort of a sample drawn alone
+        nodes = np.sort(sample) if spec.fpr is None else np.union1d(nodes, sample)
+    return nodes
 
 
 def redeploy(

@@ -19,6 +19,9 @@ from .netmodel import CommGraph, ImplementationPool
 
 logger = logging.getLogger(__name__)
 
+#: full sweeps after which ``color_flipping`` stops short of a fixed point
+MAX_FLIP_SWEEPS = 50
+
 
 @dataclass(frozen=True)
 class ColoringReport:
@@ -55,17 +58,16 @@ def color_flipping(
     graph: CommGraph,
     pool: ImplementationPool,
     rng: np.random.Generator,
-    max_sweeps: int = 50,
 ) -> tuple[np.ndarray, ColoringReport]:
     """Greedy repair of a random start.
 
     Sweeps nodes in ascending id; a node flips to the implementation with
     strictly fewest defective incident edges (ties to the lowest index).
-    Stops at a fixed point or after ``max_sweeps`` full sweeps.
+    Stops at a fixed point or after ``MAX_FLIP_SWEEPS`` full sweeps.
     """
     inst = random_coloring(graph, pool, rng)
     sweeps = 0
-    for _ in range(max_sweeps):
+    for _ in range(MAX_FLIP_SWEEPS):
         changed = False
         for v in range(graph.n_nodes):
             counts = _local_counts(graph, inst, v, pool.x)

@@ -34,12 +34,12 @@ from .netmodel import (
     VULNERABLE,
     CommGraph,
     ImplementationPool,
+    NetworkError,
     assign_vulnerabilities,
     build_graph,
     gather_neighbors,
     generate_synthetic_network,
     load_network_files,
-    vulnerable_count,
 )
 from .rng import Purpose, substream
 from .threat import (
@@ -50,6 +50,7 @@ from .threat import (
     CatalogError,
     build_exploit_catalog,
     initial_compromise,
+    max_catalog,
 )
 
 logger = logging.getLogger(__name__)
@@ -69,6 +70,10 @@ class SyntheticNetwork:
     overlap_fraction: float
     attachment_degree: int
     seed: int
+
+    def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise NetworkError("network seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -121,17 +126,19 @@ class Scenario:
             raise ValueError("t_max must be >= 0")
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if not 0.0 <= self.q <= 1.0:
             raise ValueError("q outside [0, 1]")
         if self.defender.strategy is Strategy.MONOCULTURE and self.pool.x != 1:
             raise _defense_mod.SpecError("monoculture requires a single implementation (x=1)")
-        k = vulnerable_count(self.q, self.pool.x)
-        if self.attacker.m3 > k:
-            raise CatalogError(f"m3={self.attacker.m3} exceeds {k} vulnerable OS implementations")
-        n_apps = self.pool.hbar - 1
-        base, rem = divmod(self.attacker.m4, n_apps)
-        if base + (1 if rem else 0) > k:
-            raise CatalogError(f"m4={self.attacker.m4} implies a per-application share above {k}")
+        max_m3, max_m4 = max_catalog(self.pool, self.q)
+        if self.attacker.m3 > max_m3:
+            raise CatalogError(f"m3={self.attacker.m3} exceeds {max_m3} vulnerable OS implementations")
+        if self.attacker.m4 > max_m4:
+            raise CatalogError(
+                f"m4={self.attacker.m4} exceeds {max_m4} vulnerable application implementations"
+            )
 
 
 # --- traces -------------------------------------------------------------------
@@ -433,7 +440,7 @@ def run(
     rs = init_run(scenario, run_index, graph=graph, fixed_installed=fixed_installed)
     if step_callback is not None:
         step_callback(rs, 0)
-    passive = scenario.defender.strategy in (Strategy.MONOCULTURE, Strategy.STATIC)
+    passive = not scenario.defender.acts
     for t in range(1, scenario.t_max + 1):
         step(rs, t)
         if step_callback is not None:

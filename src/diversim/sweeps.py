@@ -20,9 +20,10 @@ import numpy as np
 
 from . import metrics
 from .config import ConfigError, LoadedConfig
-from .defense import DefenderSpec, InitialAlgo, Strategy
+from .defense import KNOB_NAMES, DefenderSpec, InitialAlgo, Strategy
 from .engine import MeanTrace, Scenario, monte_carlo
 from .netmodel import ImplementationPool, vulnerable_count
+from .threat import AttackerSpec, max_catalog
 
 logger = logging.getLogger(__name__)
 
@@ -50,20 +51,14 @@ def monoculture_baseline(base: Scenario, defender: DefenderSpec | None = None) -
         defender = DefenderSpec(
             Strategy.MONOCULTURE, tau=base.defender.tau, initial_algo=InitialAlgo.RANDOM
         )
-    k = vulnerable_count(base.q, pool.x)
-    attacker = replace(
-        base.attacker,
-        m3=min(base.attacker.m3, k),
-        m4=min(base.attacker.m4, (pool.hbar - 1) * k),
-    )
+    attacker = _clamp_budget(base.attacker, pool, base.q)
     return replace(base, pool=pool, defender=defender, attacker=attacker)
 
 
-def _clamp_budget(q: float, pool: ImplementationPool, m3: int, m4: int) -> tuple[int, int]:
+def _clamp_budget(attacker: AttackerSpec, pool: ImplementationPool, q: float) -> AttackerSpec:
     # a grid budget beyond the vulnerable supply saturates instead of failing
-    k = vulnerable_count(q, pool.x)
-    n_apps = pool.hbar - 1
-    return min(m3, k), min(m4, n_apps * k)
+    max_m3, max_m4 = max_catalog(pool, q)
+    return replace(attacker, m3=min(attacker.m3, max_m3), m4=min(attacker.m4, max_m4))
 
 
 def split_budget(total: int, hbar: int) -> tuple[int, int]:
@@ -78,8 +73,8 @@ def budget_cells(scenario: Scenario, budgets: Sequence[int]) -> list[Scenario]:
     cells = []
     for total in budgets:
         m3, m4 = split_budget(total, scenario.pool.hbar)
-        m3, m4 = _clamp_budget(scenario.q, scenario.pool, m3, m4)
-        cells.append(replace(scenario, attacker=replace(scenario.attacker, m3=m3, m4=m4)))
+        att = _clamp_budget(replace(scenario.attacker, m3=m3, m4=m4), scenario.pool, scenario.q)
+        cells.append(replace(scenario, attacker=att))
     return cells
 
 
@@ -98,8 +93,7 @@ def q_cells(
             per = int(round(fraction * scenario.pool.x * q))
             att = replace(att, m3=per, m4=(scenario.pool.hbar - 1) * per)
         else:
-            m3, m4 = _clamp_budget(float(q), scenario.pool, att.m3, att.m4)
-            att = replace(att, m3=m3, m4=m4)
+            att = _clamp_budget(att, scenario.pool, float(q))
         cells.append(replace(scenario, q=float(q), attacker=att))
     return cells
 
@@ -148,14 +142,14 @@ def _key_cells(cfg: LoadedConfig, base: Scenario, key: str, grid: np.ndarray) ->
                 cell = base  # the undiversified twin keeps its single implementation
             else:
                 pool = replace(base.pool, x=value)
-                m3, m4 = _clamp_budget(base.q, pool, att.m3, att.m4)
-                cell = replace(base, pool=pool, attacker=replace(att, m3=m3, m4=m4))
+                cell = replace(base, pool=pool, attacker=_clamp_budget(att, pool, base.q))
         elif key in ("m3", "m4"):
-            att = replace(att, **{key: value})
-            m3, m4 = _clamp_budget(base.q, base.pool, att.m3, att.m4)
-            cell = replace(base, attacker=replace(att, m3=m3, m4=m4))
+            att = _clamp_budget(replace(att, **{key: value}), base.pool, base.q)
+            cell = replace(base, attacker=att)
         elif key == "ini_comp":
             cell = replace(base, attacker=replace(att, initial_compromise_size=value))
+        elif getattr(base.defender, key) is None:
+            cell = base  # a defender without this knob (defense.KNOBS) keeps its one cell
         else:
             cell = replace(base, defender=replace(base.defender, **{key: value}))
         out.append((value, cell))
@@ -216,6 +210,9 @@ def sweep(
     keys = [k for k, _ in swept]
     if len(set(keys)) != len(keys):
         raise ConfigError("each sweep key may appear once")
+    for key in (k for k in keys if k in KNOB_NAMES):
+        if all(getattr(spec, key) is None for spec in cfg.defenders):
+            raise ConfigError(f"no defender of the family takes {key}")
     single = keys[0] if len(keys) == 1 else None
     specs = list(cfg.defenders)
     if single in ("tau", "budget") and not any(s.strategy is Strategy.MONOCULTURE for s in specs):
@@ -235,13 +232,15 @@ def sweep(
             rows += [cell_row(cell, "tau", tau, mean, tau) for tau, cell in pairs]
             continue
         values, curve = [], []
-        # an x sweep gives the monoculture twin the same cell at every value;
-        # scenarios hash by identity
-        cell_means: dict[Scenario, MeanTrace] = {}
+        # a member a swept key leaves alone (the monoculture twin in an x
+        # sweep, a defender without the swept knob) repeats a cell; the other
+        # fields are the same in every cell of a sweep
+        cell_means: dict[tuple, MeanTrace] = {}
         for value, cell in pairs:
-            if cell not in cell_means:
-                cell_means[cell] = run_cell(cell, jobs=jobs)
-            mean = cell_means[cell]
+            same = (cell.pool, cell.q, cell.attacker, cell.defender)
+            if same not in cell_means:
+                cell_means[same] = run_cell(cell, jobs=jobs)
+            mean = cell_means[same]
             row = cell_row(cell, "+".join(keys), value, mean, cell.defender.tau)
             rows.append(row)
             values.append(value)

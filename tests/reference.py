@@ -173,7 +173,7 @@ class ReferenceRun:
         if s is Strategy.PROACTIVE:
             return sorted(self._sample())
         flagged = self._detect()
-        if spec.hybrid_union:
+        if spec.eta1 is not None:
             flagged |= self._sample()
         return sorted(flagged)
 

@@ -29,7 +29,7 @@ from diversim import (
     run,
     sweeps,
 )
-from diversim.defense import Detector, detect
+from diversim.defense import detect
 from diversim.metrics import asd, aoc, awd
 from diversim.netmodel import COMPROMISED, Layer
 
@@ -292,7 +292,7 @@ def test_detector_calibration():
     n = 200_000
     state = np.zeros(n, dtype=np.int8)
     state[: n // 2] = COMPROMISED
-    flags = detect(state, Detector(fpr=0.1, fnr=0.1), np.random.default_rng(5))
+    flags = detect(state, 0.1, 0.1, np.random.default_rng(5))
     hit = np.zeros(n, dtype=bool)
     hit[flags] = True
     assert abs(hit[: n // 2].mean() - 0.9) <= 0.01

@@ -185,6 +185,44 @@ def test_real_keys_take_only_numbers(tmp_path, capsys, mutation):
     assert "invalid value" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "mutation,argv",
+    [
+        (lambda s: s.replace("  seed: 1", "  seed: -1"), ["run"]),
+        (lambda s: s.replace("seed: 3}", "seed: -1}"), ["run"]),
+        (lambda s: s.replace("  ini_comp: 2", "  ini_comp: 2\n  q_fraction: -0.5"),
+         ["sweep", "--sweep", "q=0:1:0.5"]),
+    ],
+    ids=["run-seed", "network-seed", "q_fraction-negative"],
+)
+def test_bad_numbers_rejected_at_load(tmp_path, capsys, mutation, argv):
+    path = write_config(tmp_path)
+    path.write_text(mutation(path.read_text()))
+    with pytest.raises(ConfigError):
+        load_scenario(path)
+    assert main(argv + ["--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [["--runs", "0"], ["--seed", "-2"]], ids=["runs-0", "seed-negative"])
+def test_bad_number_flags_exit_two(tmp_path, capsys, flags):
+    cfgp = write_config(tmp_path)
+    assert main(["run", "--config", str(cfgp), "--out", str(tmp_path / "o")] + flags) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_hybrid_union_gives_the_hybrid_member_eta1(tmp_path):
+    knobs = "  eta1: 0.5\n  eta2: 0.2\n  fpr: 0.1\n  fnr: 0.1\n"
+    path = write_config(tmp_path, strategy="[proactive, hybrid]",
+                        extra=knobs + "  hybrid_union: true\n")
+    by_name = {s.strategy: s for s in load_scenario(path).defenders}
+    assert by_name[Strategy.HYBRID].eta1 == 0.5
+    path = write_config(tmp_path, strategy="hybrid",
+                        extra=knobs.replace("  eta1: 0.5\n", "") + "  hybrid_union: true\n")
+    with pytest.raises(ConfigError, match="hybrid requires eta1"):
+        load_scenario(path)
+
+
 def test_integer_is_a_real(tmp_path):
     path = write_config(tmp_path)
     path.write_text(path.read_text().replace("strategy: static", "strategy: static\n  tau: 1"))
@@ -343,16 +381,58 @@ def test_sweep_x_keeps_monoculture_at_one_implementation(tmp_path):
     assert [r for r in with_rows if not r.startswith("monoculture,")] == without_rows
 
 
-def test_sweep_x_runs_the_monoculture_twin_once(tmp_path, monkeypatch):
+def count_run_cells(monkeypatch) -> list:
     calls = []
     run_cell = sweeps.run_cell
     monkeypatch.setattr(sweeps, "run_cell",
                         lambda cell, jobs=1: calls.append(cell) or run_cell(cell, jobs=jobs))
+    return calls
+
+
+def test_sweep_x_runs_the_monoculture_twin_once(tmp_path, monkeypatch):
+    calls = count_run_cells(monkeypatch)
     cfgp = write_config(tmp_path, strategy="[static, monoculture]")
     assert main(["sweep", "--config", str(cfgp), "--out", str(tmp_path / "out"),
                  "--sweep", "x=2:4:1"]) == 0
     # three static cells, one monoculture cell shared by every x value
     assert len(calls) == 4
+
+
+def test_sweep_x_with_second_key_runs_each_twin_cell_once(tmp_path, monkeypatch):
+    calls = count_run_cells(monkeypatch)
+    cfgp = write_config(tmp_path, strategy="[static, monoculture]")
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfgp), "--out", str(out),
+                 "--sweep", "x=2:4:1", "--sweep", "ini_comp=1:2:1"]) == 0
+    # six static cells, and the monoculture twin's two ini_comp cells shared by every x
+    assert len(calls) == 8
+    assert len((out / "sweep.csv").read_text().splitlines()) == 1 + 12
+
+
+def test_sweep_defender_knob_over_family(tmp_path, monkeypatch):
+    calls = count_run_cells(monkeypatch)
+    cfgp = write_config(tmp_path, strategy="[static, reactive]", extra="  fpr: 0.1\n  fnr: 0.1\n")
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfgp), "--out", str(out),
+                 "--sweep", "fpr=0:0.2:0.1"]) == 0
+    # three reactive cells; static takes no fpr and keeps its one cell
+    assert len(calls) == 4
+    header, *lines = (out / "sweep.csv").read_text().splitlines()
+    rows = [dict(zip(header.split(","), ln.split(","))) for ln in lines]
+    static = [r for r in rows if r["strategy"] == "static"]
+    assert [r.pop("swept_value") for r in static] == ["0.000000", "0.100000", "0.200000"]
+    assert static[0]["fpr"] == "" and static[0] == static[1] == static[2]
+    assert [r["fpr"] for r in rows if r["strategy"] == "reactive"] == [
+        "0.000000", "0.100000", "0.200000"]
+
+
+def test_sweep_knob_no_member_takes_exits_two(tmp_path, capsys):
+    cfgp = write_config(tmp_path, strategy="[static, proactive]",
+                        extra="  eta1: 0.5\n  eta2: 0.2\n")
+    code = main(["sweep", "--config", str(cfgp), "--out", str(tmp_path / "out"),
+                 "--sweep", "fpr=0:0.2:0.1"])
+    assert code == 2
+    assert "no defender" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("grid", ["x=2.5:3.5:1", "budget=0.5:2.5:1", "m3=0:1:0.5",

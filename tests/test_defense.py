@@ -4,7 +4,6 @@ import pytest
 
 from diversim import (
     DefenderSpec,
-    Detector,
     ImplementationPool,
     InitialAlgo,
     Layer,
@@ -13,7 +12,7 @@ from diversim import (
     build_graph,
 )
 from diversim.netmodel import COMPROMISED, INVULNERABLE, VULNERABLE
-from diversim.defense import defense_investment, detect, plan, redeploy
+from diversim.defense import KNOBS, defense_investment, detect, plan, redeploy
 
 
 # --- knob validation -------------------------------------------------------------
@@ -45,13 +44,12 @@ def test_reactive_requires_detector_rates():
 
 def test_hybrid_knob_combinations():
     DefenderSpec(Strategy.HYBRID, eta2=0.2, fpr=0.1, fnr=0.1)
+    # eta1 is optional for hybrid: with it, hybrid redeploys the union
+    DefenderSpec(Strategy.HYBRID, eta2=0.2, fpr=0.1, fnr=0.1, eta1=0.5)
     with pytest.raises(SpecError):
-        DefenderSpec(Strategy.HYBRID, eta2=0.2, fpr=0.1, fnr=0.1, eta1=0.5)
-    DefenderSpec(Strategy.HYBRID, eta2=0.2, fpr=0.1, fnr=0.1, eta1=0.5, hybrid_union=True)
+        DefenderSpec(Strategy.HYBRID, fpr=0.1, fnr=0.1, eta1=0.5)
     with pytest.raises(SpecError):
-        DefenderSpec(Strategy.HYBRID, eta2=0.2, fpr=0.1, fnr=0.1, hybrid_union=True)
-    with pytest.raises(SpecError):
-        DefenderSpec(Strategy.STATIC, hybrid_union=True)
+        DefenderSpec(Strategy.REACTIVE_ADAPTIVE, fpr=0.1, fnr=0.1, eta1=0.5)
 
 
 @pytest.mark.parametrize(
@@ -83,11 +81,11 @@ def test_period_rounds_inverse_rate():
 def test_detect_extreme_rates():
     state = np.array([COMPROMISED, VULNERABLE, COMPROMISED, INVULNERABLE], dtype=np.int8)
     rng = np.random.default_rng(0)
-    perfect = detect(state, Detector(fpr=0.0, fnr=0.0), rng)
+    perfect = detect(state, 0.0, 0.0, rng)
     assert perfect.tolist() == [0, 2]
-    blind = detect(state, Detector(fpr=0.0, fnr=1.0), rng)
+    blind = detect(state, 0.0, 1.0, rng)
     assert blind.size == 0
-    noisy = detect(state, Detector(fpr=1.0, fnr=0.0), rng)
+    noisy = detect(state, 1.0, 0.0, rng)
     assert noisy.tolist() == [0, 1, 2, 3]
 
 
@@ -96,7 +94,7 @@ def test_detect_rates_converge():
     state = np.full(200_000, COMPROMISED, dtype=np.int8)
     state[100_000:] = VULNERABLE
     flagged = np.zeros(state.size, dtype=bool)
-    flagged[detect(state, Detector(fpr=0.1, fnr=0.1), rng)] = True
+    flagged[detect(state, 0.1, 0.1, rng)] = True
     assert abs(flagged[:100_000].mean() - 0.9) < 0.01
     assert abs(flagged[100_000:].mean() - 0.1) < 0.01
 
@@ -117,6 +115,14 @@ def test_passive_strategies_never_plan(plan_env):
     for s in (Strategy.MONOCULTURE, Strategy.STATIC):
         for t in range(6):
             assert plan(DefenderSpec(s), t, state, g, rng, rng).size == 0
+
+
+def test_only_strategies_without_knobs_never_act():
+    values = dict(eta1=0.5, eta2=0.2, fpr=0.1, fnr=0.1)
+    for strategy, (required, optional) in KNOBS.items():
+        for knobs in (required, required + optional):
+            spec = DefenderSpec(strategy, **{k: values[k] for k in knobs})
+            assert spec.acts == bool(knobs)
 
 
 def test_proactive_cadence_and_sample_size(plan_env):
@@ -154,9 +160,7 @@ def test_hybrid_detects_only_at_period_instants(plan_env):
 
 def test_hybrid_union_adds_the_sample(plan_env):
     g, state = plan_env
-    spec = DefenderSpec(
-        Strategy.HYBRID, eta2=0.5, fpr=0.0, fnr=1.0, eta1=1.0, hybrid_union=True
-    )
+    spec = DefenderSpec(Strategy.HYBRID, eta2=0.5, fpr=0.0, fnr=1.0, eta1=1.0)
     chosen = plan(spec, 0, state, g, np.random.default_rng(5), np.random.default_rng(6))
     # detector misses everything, the full-network sample still covers all
     assert chosen.tolist() == list(range(g.n_nodes))

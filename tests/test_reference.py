@@ -103,7 +103,6 @@ def scenario_of(case: Case, strategy: Strategy, defender_first: bool) -> Scenari
         Strategy.PROACTIVE: dict(eta1=case.eta1, eta2=case.eta2),
         Strategy.REACTIVE_ADAPTIVE: dict(fpr=case.fpr, fnr=case.fnr),
         Strategy.HYBRID: dict(eta2=case.eta2, fpr=case.fpr, fnr=case.fnr,
-                              hybrid_union=case.hybrid_union,
                               eta1=case.eta1 if case.hybrid_union else None),
     }.get(strategy, {})
     return Scenario(
