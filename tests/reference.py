@@ -7,6 +7,10 @@ passes, OS spread and the computer-level frame. It starts from the t=0 state
 of ``diversim.engine.init_run`` and draws from the same ``rng.Purpose``
 substreams, in the same order and sizes, as the engine, so the two must
 agree state for state and trace row for trace row.
+
+``color_flipping`` and ``switching`` are the two coloring sweeps of
+``diversim.diversity`` written node by node in ascending id, each node seeing
+the colors its lower-id neighbors took earlier in the same sweep.
 """
 from __future__ import annotations
 
@@ -16,6 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from diversim.defense import Strategy
+from diversim.diversity import (
+    MAX_FLIP_SWEEPS,
+    ColoringReport,
+    count_defective_edges,
+    random_coloring,
+)
 from diversim.engine import init_run
 from diversim.netmodel import COMPROMISED, INVULNERABLE, VULNERABLE, vulnerable_count
 from diversim.rng import Purpose, substream
@@ -237,3 +247,55 @@ class ReferenceRun:
             elif VULNERABLE in states:
                 vc += 1
         return cc, vc, g.n_computers - cc - vc
+
+
+# --- colorings ----------------------------------------------------------------
+
+def local_counts(graph, inst, v: int, x: int) -> list[int]:
+    """Same-program neighbors of ``v`` per implementation; -1 is uncolored."""
+    counts = [0] * x
+    for w in graph.same_program_neighbors(v):
+        if inst[w] >= 0:
+            counts[int(inst[w])] += 1
+    return counts
+
+
+def color_flipping(graph, pool, rng):
+    """Random start, then ascending-id sweeps: a node flips to the
+    implementation with strictly fewest same-colored neighbors (ties to the
+    lowest index), until a sweep changes nothing or ``MAX_FLIP_SWEEPS``."""
+    inst = random_coloring(graph, pool, rng)
+    sweeps = 0
+    for _ in range(MAX_FLIP_SWEEPS):
+        changed = False
+        for v in range(graph.n_nodes):
+            counts = local_counts(graph, inst, v, pool.x)
+            best = counts.index(min(counts))
+            if counts[best] < counts[inst[v]]:
+                inst[v] = best
+                changed = True
+        sweeps += 1
+        if not changed:
+            break
+    base = count_defective_edges(graph, inst)
+    return inst, ColoringReport(base.defective_edges, base.per_program, sweeps)
+
+
+def switching(graph, inst, members, x: int) -> int:
+    """Ascending-id sweeps over ``members``: a node takes the first
+    implementation with strictly fewer same-colored neighbors than its own,
+    until a sweep changes nothing. Returns the sweeps made."""
+    sweeps = 0
+    while True:
+        changed = False
+        for v in sorted(int(m) for m in members):
+            counts = local_counts(graph, inst, v, x)
+            cur = counts[inst[v]]
+            for c in range(x):
+                if counts[c] < cur:
+                    inst[v] = c
+                    changed = True
+                    break
+        sweeps += 1
+        if not changed:
+            return sweeps

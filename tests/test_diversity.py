@@ -1,8 +1,13 @@
 """Coloring algorithms: defect counting, local searches, determinism."""
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+
+import reference
+from diversim import diversity
 
 from diversim import (
     ImplementationPool,
@@ -26,6 +31,10 @@ def brute_defects(graph, installed):
 
 def line_graph(n):
     return build_graph([Layer.from_edges([(i, i + 1) for i in range(n - 1)])])
+
+
+def complete_graph(n):
+    return build_graph([Layer.from_edges([(i, j) for i in range(n) for j in range(i + 1, n)])])
 
 
 def test_count_matches_hand_example(path_graph):
@@ -165,3 +174,46 @@ def test_greedy_never_beats_exhaustive_optimum(graph, x):
         best = d if best is None else min(best, d)
     _, rep = degree_priority_assignment(graph, pool)
     assert rep.defective_edges >= best
+
+
+@st.composite
+def multi_layer(draw):
+    """One to three layers over up to 14 users; a layer's members may have no
+    link in it, so some application nodes have no same-program neighbor."""
+    n = draw(st.integers(2, 14))
+    layers = []
+    for _ in range(draw(st.integers(1, 3))):
+        members = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1)))
+        pairs = [(a, b) for i, a in enumerate(members) for b in members[i + 1:]]
+        edges = draw(st.sets(st.sampled_from(pairs), max_size=40)) if pairs else set()
+        layers.append(Layer.from_edges(edges, participants=members))
+    return build_graph(layers)
+
+
+@given(multi_layer(), st.integers(1, 5), st.integers(0, 2**31 - 1))
+@example(line_graph(30), 2, 0)  # every application node is its own level
+@example(line_graph(30), 3, 1)
+@example(complete_graph(6), 4, 1)  # dense: the two switching rules part ways
+@settings(max_examples=60, derandomize=True, deadline=None)
+def test_colorings_match_the_node_by_node_sweeps(graph, x, seed):
+    pool = ImplementationPool(hbar=graph.hbar, x=x)
+    got, got_rep = color_flipping(graph, pool, np.random.default_rng(seed))
+    want, want_rep = reference.color_flipping(graph, pool, np.random.default_rng(seed))
+    assert got.dtype == want.dtype == np.int16
+    assert np.array_equal(got, want) and got_rep == want_rep
+
+    got, got_rep = degree_priority_assignment(graph, pool)
+    with mock.patch.object(diversity, "_switching", reference.switching):
+        want, want_rep = degree_priority_assignment(graph, pool)
+    assert got.dtype == want.dtype == np.int16
+    assert np.array_equal(got, want) and got_rep == want_rep
+
+    # from a random start the switching sweeps have far more to do
+    start = random_coloring(graph, pool, np.random.default_rng(seed))
+    for prog in range(graph.hbar):
+        members = np.flatnonzero(graph.program == prog)
+        got, want = start.copy(), start.copy()
+        assert diversity._switching(graph, got, members, x) == reference.switching(
+            graph, want, members, x
+        )
+        assert np.array_equal(got, want)

@@ -2,7 +2,10 @@
 
 The hashes were recorded from the program before the sweep path was
 consolidated; a refactor that keeps them keeps every trace, row and summary
-byte-identical. A deliberate output change has to re-record them and say why.
+byte-identical. The ``run-color_flip`` and ``run-random`` hashes, the only
+cases that start from another initial coloring, were recorded from the
+node-by-node coloring sweeps. A deliberate output change has to re-record
+them and say why.
 """
 import hashlib
 
@@ -13,7 +16,7 @@ from diversim.cli import main
 CONFIG = """\
 network:
   synthetic: {{n_layer1: 40, n_layer2: 38, overlap_fraction: 0.5, attachment_degree: 2, seed: 3}}
-diversity: {{x: 4}}
+diversity: {{x: 4, initial_algo: {algo}}}
 attacker: {{m3: 2, m4: 4, ini_comp: 3, scale_with_q: {scale}}}
 defender:
   strategy: [{strategies}]
@@ -97,13 +100,27 @@ GOLDEN = {
         "summary.csv": "03338c62e304f4e855fdab93e07fd34f71664579b05251ecd166ae5c6eede4a3",
         "sweep.csv": "818c30915468ac979d1cb3d2bd000df844a1c3e241a3e38f3829a583ab013454",
     },
+    "run-color_flip": {
+        "summary.csv": "ae1af29485ea1afa3305c5946adbac6f2576a63af683d5ce23930f2c25a824b7",
+        "trace_hybrid.csv": "f2c737d8b19a124787703984eaee6b0de0201459f414c018b521bdd0ae36c7cf",
+        "trace_proactive.csv": "75e560cf3c1da650beb01a080a8d6df714d5fcd70f30453e8a2a7432e683164e",
+        "trace_reactive.csv": "564e8641a8ac7bdfbb569a801049f6fdf507faa1eeda79df122ddf54985a4440",
+        "trace_static.csv": "adf41e2e45bb784dac7bd3b9b98f7ab6e13c30e146497745bbcb6d4ced4f5d06",
+    },
+    "run-random": {
+        "summary.csv": "dae2a1e97f50aa977fb2dd8bd8a6e511cd65b76e156bd31abf9a9ccbe6ca297b",
+        "trace_hybrid.csv": "38d8078ff36e8d96344217f83c00c16de8244d8dcc2791b8a5900bacaecf5ceb",
+        "trace_proactive.csv": "013750bb2708fedc1bd90a10950fc4cedac294c84a20747eb17213eb7f6f05a9",
+        "trace_reactive.csv": "e0f8fdb787102c1a651919a5db719a216d0c9eaa3eb51c5658e7182ca33727ca",
+        "trace_static.csv": "59ff983ff248b5257ba982096176928040645d987399c67889184a1ed627bcfb",
+    },
 }
 
 
-def outputs(tmp_path, strategies, scale, argv, jobs):
+def outputs(tmp_path, strategies, scale, argv, jobs, algo="degree_priority"):
     """SHA-256 of every file one invocation writes, by file name."""
     cfg = tmp_path / "scenario.yaml"
-    cfg.write_text(CONFIG.format(strategies=strategies, scale=scale))
+    cfg.write_text(CONFIG.format(strategies=strategies, scale=scale, algo=algo))
     out = tmp_path / "out"
     command, rest = argv[0], argv[1:]
     code = main([command, "--config", str(cfg), "--out", str(out), "--jobs", str(jobs), *rest])
@@ -120,3 +137,9 @@ def test_golden_run_family_with_two_jobs(tmp_path):
     # the process-pool path of monte_carlo must write the same bytes
     case, strategies, scale, argv = CASES[0]
     assert outputs(tmp_path, strategies, scale, argv, jobs=2) == GOLDEN[case]
+
+
+@pytest.mark.parametrize("algo", ["color_flip", "random"])
+def test_golden_run_family_with_other_initial_colorings(tmp_path, algo):
+    # every other case starts from the degree-priority coloring
+    assert outputs(tmp_path, FAMILY, "true", ["run"], jobs=1, algo=algo) == GOLDEN[f"run-{algo}"]
