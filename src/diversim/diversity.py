@@ -7,6 +7,12 @@ implementation; only same-program edges (inter-computer links) can be
 defective. Three initial assignment algorithms are provided: uniform random,
 greedy local flipping, and a degree-priority heuristic with a
 first-improvement switching phase.
+
+Flipping and switching sweep nodes in ascending id, each node seeing the
+implementations its lower-id neighbors took earlier in the same sweep. Both
+run a sweep one dependency level at a time (``_levels``): the nodes of a
+level are counted, decided and updated together with array operations, and
+the result is the node-by-node one.
 """
 from __future__ import annotations
 
@@ -15,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .netmodel import CommGraph, ImplementationPool
+from .netmodel import CommGraph, ImplementationPool, gather_neighbors
 
 logger = logging.getLogger(__name__)
 
@@ -63,21 +69,11 @@ def color_flipping(
 
     Sweeps nodes in ascending id; a node flips to the implementation with
     strictly fewest defective incident edges (ties to the lowest index).
-    Stops at a fixed point or after ``MAX_FLIP_SWEEPS`` full sweeps.
+    Stops at a fixed point or after ``MAX_FLIP_SWEEPS`` full sweeps. Each
+    sweep runs one dependency level at a time (see ``_levels``).
     """
     inst = random_coloring(graph, pool, rng)
-    sweeps = 0
-    for _ in range(MAX_FLIP_SWEEPS):
-        changed = False
-        for v in range(graph.n_nodes):
-            counts = _local_counts(graph, inst, v, pool.x)
-            best = int(np.argmin(counts))
-            if counts[best] < counts[inst[v]]:
-                inst[v] = best
-                changed = True
-        sweeps += 1
-        if not changed:
-            break
+    sweeps = _sweep(graph, inst, np.arange(graph.n_nodes), pool.x, _fewest, MAX_FLIP_SWEEPS)
     base = count_defective_edges(graph, inst)
     return inst, ColoringReport(base.defective_edges, base.per_program, sweeps)
 
@@ -97,7 +93,8 @@ def degree_priority_assignment(
     lowest-degree colored neighbor, then the lowest index. Afterwards a
     switching pass walks the program's nodes in ascending id and takes the
     first implementation (in index order) that strictly lowers that node's
-    defective-edge count, repeating until a fixed point.
+    defective-edge count, repeating until a fixed point. The report's
+    ``sweeps`` sums the switching passes over the programs.
     """
     x = pool.x
     inst = np.full(graph.n_nodes, -1, dtype=np.int16)
@@ -138,21 +135,96 @@ def _switching(graph: CommGraph, inst: np.ndarray, members: np.ndarray, x: int) 
     """First-improvement single-node switches until a fixed point.
 
     Every accepted switch strictly lowers the program's defective-edge count,
-    so termination is guaranteed.
+    so termination is guaranteed. Sweeps run one dependency level at a time
+    (see ``_levels``).
     """
+    return _sweep(graph, inst, members, x, lambda counts, cur: cur)
+
+
+def _fewest(counts: np.ndarray, cur: np.ndarray) -> np.ndarray:
+    # the first count below fewest + 1 is the lowest-index fewest; the cap at
+    # the node's own count lets it move only on a strict improvement
+    return np.minimum(cur, counts.min(axis=1) + 1)
+
+
+def _sweep(graph: CommGraph, inst: np.ndarray, nodes: np.ndarray, x: int, bound,
+           limit: int | None = None) -> int:
+    """Ascending-id sweeps over ``nodes`` until one changes nothing or
+    ``limit`` sweeps are made; returns the sweeps made.
+
+    A node whose same-program neighbors run each implementation ``counts``
+    times, ``cur`` of them its own, switches to the first implementation
+    counted below ``bound(counts, cur)``, if any is.
+    """
+    levels = _levels(graph, nodes, x)
     sweeps = 0
-    while True:
+    while limit is None or sweeps < limit:
         changed = False
-        for v in np.sort(members):
-            counts = _local_counts(graph, inst, int(v), x)
-            cur = counts[inst[v]]
-            if cur == 0:
-                continue
-            for c in range(x):
-                if c != inst[v] and counts[c] < cur:
-                    inst[v] = c
-                    changed = True
-                    break
+        for v, slot, key, nbr in levels:
+            counts = np.bincount(key + inst[nbr], minlength=slot.size * x)
+            cur = counts[slot + inst[v]]
+            counts = counts.reshape(slot.size, x)
+            below = counts < bound(counts, cur)[:, None]
+            if below.any():
+                take = below.any(axis=1)
+                inst[v[take]] = below[take].argmax(axis=1)
+                changed = True
         sweeps += 1
         if not changed:
-            return sweeps
+            break
+    return sweeps
+
+
+def _levels(graph: CommGraph, nodes: np.ndarray, x: int) -> list[tuple[np.ndarray, ...]]:
+    """The dependency levels of an ascending-id sweep over ``nodes``.
+
+    ``nodes`` is ascending and holds whole programs. A node with no
+    same-program neighbor never changes and is left out; one with no lower-id
+    same-program neighbor is on level 0, any other one level above its
+    highest lower-id same-program neighbor. So no two nodes of a level are
+    neighbors, a node's lower-id neighbors are all on earlier levels and its
+    higher-id ones on later levels: processing the levels in turn, each
+    at once, shows every node what the node-by-node sweep shows it (Anderson
+    & Saad's level scheduling of a sparse triangular solve).
+
+    Returns, level by level, its nodes ``v`` and the keys of a ``(v.size, x)``
+    count table: ``slot[j]`` is the flat offset of ``v[j]``'s row and
+    ``key[i]`` that of the row of the node whose neighbor is ``nbr[i]``.
+    """
+    indptr, indices = graph.sp_indptr, graph.sp_indices
+    nodes = nodes[indptr[nodes + 1] > indptr[nodes]]
+    # peel in a compact numbering of the swept nodes; ``sp_edges`` is sorted
+    # with the lower id first, so each node's edges up form one block
+    local = np.full(graph.n_nodes, -1, dtype=np.int64)
+    local[nodes] = np.arange(nodes.size)
+    low, high = local[graph.sp_edges.T]
+    high = high[low >= 0]
+    up_count = np.bincount(low[low >= 0], minlength=nodes.size)
+    up_end = up_count.cumsum()
+    # waiting: a node's lower-id neighbors not yet on a level, -1 once placed
+    waiting = np.bincount(high, minlength=nodes.size)
+    fronts = []
+    frontier = (waiting == 0).nonzero()[0]
+    while frontier.size:
+        fronts.append(frontier)
+        waiting[frontier] = -1
+        count = up_count[frontier]
+        ends = count.cumsum()
+        pos = (up_end[frontier] - ends).repeat(count) + np.arange(ends[-1])
+        waiting -= np.bincount(high[pos], minlength=nodes.size)
+        frontier = (waiting == 0).nonzero()[0]
+
+    if not fronts:
+        return []
+    sizes = [f.size for f in fronts]
+    swept = nodes[np.concatenate(fronts)]
+    deg = indptr[swept + 1] - indptr[swept]
+    node_ends = np.cumsum(sizes)
+    slot = (np.arange(swept.size) - (node_ends - sizes).repeat(sizes)) * x
+    key = slot.repeat(deg)
+    nbr = gather_neighbors(indptr, indices, swept)
+    node_ends, edge_ends = node_ends.tolist(), deg.cumsum()[node_ends - 1].tolist()
+    return [
+        (swept[a:b], slot[a:b], key[c:d], nbr[c:d])
+        for a, b, c, d in zip([0] + node_ends, node_ends, [0] + edge_ends, edge_ends)
+    ]
