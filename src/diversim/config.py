@@ -170,6 +170,8 @@ def _defender_specs(sec: dict, tau: float, algo: InitialAlgo) -> tuple[DefenderS
         except SpecError as exc:
             raise ConfigError(str(exc)) from None
         specs.append(spec)
+    if hybrid_union and not any(s.strategy is Strategy.HYBRID for s in specs):
+        raise ConfigError("hybrid_union needs a hybrid member in defender.strategy")
     return tuple(specs)
 
 

@@ -34,9 +34,9 @@ from .netmodel import (
     VULNERABLE,
     CommGraph,
     ImplementationPool,
-    NetworkError,
     assign_vulnerabilities,
     build_graph,
+    check_network_seed,
     gather_neighbors,
     generate_synthetic_network,
     load_network_files,
@@ -72,8 +72,7 @@ class SyntheticNetwork:
     seed: int
 
     def __post_init__(self) -> None:
-        if self.seed < 0:
-            raise NetworkError("network seed must be >= 0")
+        check_network_seed(self.seed)
 
 
 @dataclass(frozen=True)

@@ -104,7 +104,8 @@ class CommGraph:
     ``comp_start`` delimits the contiguous node-id range of each computer.
     Adjacency is CSR (``indptr``/``indices``); ``sp_indptr``/``sp_indices``
     restrict it to same-program neighbors, the only ones that matter for
-    defective edges.
+    defective edges. ``edges`` and its same-program rows ``sp_edges`` list
+    each link once, lower id first, in ascending order.
     """
 
     def __init__(self, layers: Sequence[Layer], users: Iterable[int] | None = None):
@@ -270,6 +271,11 @@ def _preferential_attachment(n: int, m: int, rng: np.random.Generator) -> list[t
     return edges
 
 
+def check_network_seed(seed: int) -> None:
+    if seed < 0:
+        raise NetworkError("network seed must be >= 0")
+
+
 def generate_synthetic_network(
     n_layer1: int,
     n_layer2: int,
@@ -282,6 +288,7 @@ def generate_synthetic_network(
     ``overlap_fraction`` of the smaller layer's users also participate in the
     other layer. Deterministic under ``seed``.
     """
+    check_network_seed(seed)
     m = int(attachment_degree)
     if m < 1:
         raise NetworkError("attachment degree must be >= 1")

@@ -223,6 +223,15 @@ def test_hybrid_union_gives_the_hybrid_member_eta1(tmp_path):
         load_scenario(path)
 
 
+def test_hybrid_union_without_a_hybrid_member_exits_two(tmp_path, capsys):
+    path = write_config(tmp_path, strategy="[static, proactive]",
+                        extra="  eta1: 0.5\n  eta2: 0.2\n  hybrid_union: true\n")
+    with pytest.raises(ConfigError, match="hybrid_union"):
+        load_scenario(path)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "hybrid_union" in capsys.readouterr().err
+
+
 def test_integer_is_a_real(tmp_path):
     path = write_config(tmp_path)
     path.write_text(path.read_text().replace("strategy: static", "strategy: static\n  tau: 1"))
@@ -283,6 +292,13 @@ def test_gen_network_writes_layers(tmp_path, capsys):
         str(out / "users.txt"),
     ))
     assert g.n_computers == 29
+
+
+def test_gen_network_negative_seed_exits_two(tmp_path, capsys):
+    code = main(["gen-network", "--out", str(tmp_path / "net"), "--n1", "20", "--n2", "15",
+                 "--overlap", "0.4", "--attachment", "2", "--seed", "-1"])
+    assert code == 2
+    assert "seed" in capsys.readouterr().err
 
 
 # --- run -------------------------------------------------------------------------------
