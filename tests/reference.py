@@ -11,6 +11,9 @@ agree state for state and trace row for trace row.
 ``color_flipping`` and ``switching`` are the two coloring sweeps of
 ``diversim.diversity`` written node by node in ascending id, each node seeing
 the colors its lower-id neighbors took earlier in the same sweep.
+
+``ReferenceGraph`` is the communication graph of ``diversim.netmodel`` built
+computer by computer from the layers ``canonical_layer`` reads.
 """
 from __future__ import annotations
 
@@ -299,3 +302,99 @@ def switching(graph, inst, members, x: int) -> int:
         sweeps += 1
         if not changed:
             return sweeps
+
+
+# --- communication graph --------------------------------------------------------
+
+def canonical_layer(edges, participants=None) -> tuple[list[tuple[int, int]], list[int]]:
+    """A layer's links, each once with the lower id first and self-links
+    dropped, in ascending order; and its members, ascending. Members default
+    to the ids the links name."""
+    seen = set()
+    for u, w in edges:
+        u, w = int(u), int(w)
+        if u != w:
+            seen.add((u, w) if u < w else (w, u))
+    links = sorted(seen)
+    if participants is None:
+        members = {u for e in links for u in e}
+    else:
+        members = {int(u) for u in participants}
+    return links, sorted(members)
+
+
+def _csr(n: int, edges) -> tuple[np.ndarray, np.ndarray]:
+    adjacency = [[] for _ in range(n)]
+    for a, b in edges:
+        adjacency[a].append(b)
+        adjacency[b].append(a)
+    indptr = [0]
+    indices = []
+    for nbrs in adjacency:
+        indices.extend(sorted(nbrs))
+        indptr.append(len(indices))
+    return np.asarray(indptr, dtype=np.int64), np.asarray(indices, dtype=np.int64)
+
+
+class ReferenceGraph:
+    """``diversim.netmodel.CommGraph`` built computer by computer and link by
+    link, from ``canonical_layer`` outputs; inputs must be valid.
+
+    Computers come in ascending user id; a computer's nodes are its
+    applications in program order, then its OS node. Every application
+    links to its computer's OS and to every other local application, and a
+    layer-j link joins the two users' layer-j applications.
+    """
+
+    def __init__(self, layers, users=None):
+        member_sets = [set(members) for _, members in layers]
+        if users is None:
+            users = sorted(set().union(*member_sets))
+        else:
+            users = sorted({int(u) for u in users})
+        index = {u: c for c, u in enumerate(users)}
+        self.n_computers = len(users)
+        self.hbar = len(layers) + 1
+        self.os_program = self.hbar - 1
+
+        program, computer, comp_start = [], [], [0]
+        app_node = [[-1] * len(layers) for _ in users]
+        os_of_computer = []
+        for c, u in enumerate(users):
+            for j, members in enumerate(member_sets):
+                if u in members:
+                    app_node[c][j] = len(program)
+                    program.append(j)
+                    computer.append(c)
+            os_of_computer.append(len(program))
+            program.append(self.os_program)
+            computer.append(c)
+            comp_start.append(len(program))
+        self.n_nodes = len(program)
+        self.program = np.asarray(program, dtype=np.int16)
+        self.computer = np.asarray(computer, dtype=np.int64)
+        self.comp_start = np.asarray(comp_start, dtype=np.int64)
+        self.app_node = np.asarray(app_node, dtype=np.int64).reshape(len(users), len(layers))
+        self.os_of_computer = np.asarray(os_of_computer, dtype=np.int64)
+        self.os_node = np.asarray([os_of_computer[c] for c in computer], dtype=np.int64)
+        self.is_app = np.asarray([p != self.os_program for p in program], dtype=bool)
+
+        edges = set()
+        for c in range(len(users)):
+            local = [a for a in app_node[c] if a >= 0]
+            for i, a in enumerate(local):
+                edges.add((a, os_of_computer[c]))
+                for b in local[i + 1:]:
+                    edges.add((a, b))
+        for j, (links, _) in enumerate(layers):
+            for u, w in links:
+                a, b = app_node[index[u]][j], app_node[index[w]][j]
+                edges.add((a, b) if a < b else (b, a))
+        ordered = sorted(edges)
+        same = [(a, b) for a, b in ordered if program[a] == program[b]]
+        self.edges = np.asarray(ordered, dtype=np.int64).reshape(-1, 2)
+        self.n_edges = len(ordered)
+        self.sp_edges = np.asarray(same, dtype=np.int64).reshape(-1, 2)
+        self.indptr, self.indices = _csr(self.n_nodes, ordered)
+        self.sp_indptr, self.sp_indices = _csr(self.n_nodes, same)
+        self.degree = np.diff(self.indptr)

@@ -1,11 +1,13 @@
-"""Golden outputs: SHA-256 of every file small `run` and `sweep` invocations write.
+"""Golden outputs: SHA-256 of every file small `run`, `sweep` and `gen-network`
+invocations write.
 
 The hashes were recorded from the program before the sweep path was
 consolidated; a refactor that keeps them keeps every trace, row and summary
 byte-identical. The ``run-color_flip`` and ``run-random`` hashes, the only
 cases that start from another initial coloring, were recorded from the
-node-by-node coloring sweeps. A deliberate output change has to re-record
-them and say why.
+node-by-node coloring sweeps. The ``gen-network`` hashes were recorded from
+the tuple-set layers that preceded the array form. A deliberate output
+change has to re-record them and say why.
 """
 import hashlib
 
@@ -116,6 +118,16 @@ GOLDEN = {
     },
 }
 
+GEN_NETWORK = {
+    "layer1.edges": "be6888a209df44af37151ff713d12cb1f7bd7ba8baa0dbfde19fccbcc04388d4",
+    "layer2.edges": "034c6a73849f418867e918a6161b4e6749010e826af353cf9d0328685186fab4",
+    "users.txt": "27d51128b0cbe1da673c3723f01b365e1e61aceefe463453c5fd4ccf50c7b655",
+}
+
+
+def digests(out):
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
+
 
 def outputs(tmp_path, strategies, scale, argv, jobs, algo="degree_priority"):
     """SHA-256 of every file one invocation writes, by file name."""
@@ -125,7 +137,7 @@ def outputs(tmp_path, strategies, scale, argv, jobs, algo="degree_priority"):
     command, rest = argv[0], argv[1:]
     code = main([command, "--config", str(cfg), "--out", str(out), "--jobs", str(jobs), *rest])
     assert code == 0
-    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
+    return digests(out)
 
 
 @pytest.mark.parametrize("case,strategies,scale,argv", CASES, ids=[c[0] for c in CASES])
@@ -143,3 +155,10 @@ def test_golden_run_family_with_two_jobs(tmp_path):
 def test_golden_run_family_with_other_initial_colorings(tmp_path, algo):
     # every other case starts from the degree-priority coloring
     assert outputs(tmp_path, FAMILY, "true", ["run"], jobs=1, algo=algo) == GOLDEN[f"run-{algo}"]
+
+
+def test_golden_gen_network(tmp_path):
+    out = tmp_path / "net"
+    argv = ["--n1", "40", "--n2", "38", "--overlap", "0.5", "--attachment", "2", "--seed", "3"]
+    assert main(["gen-network", "--out", str(out), *argv]) == 0
+    assert digests(out) == GEN_NETWORK

@@ -1,7 +1,7 @@
 """Communication-graph construction, synthetic generation, file parsing."""
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from diversim import (
@@ -18,6 +18,7 @@ from diversim import (
 )
 from diversim.netmodel import gather_neighbors, read_users_file
 
+import reference
 from conftest import degrees_from_edges
 
 
@@ -171,6 +172,50 @@ def test_random_two_layer_graphs_well_formed(seed, n1, n2):
     assert np.diff(g.comp_start).min() >= 2
     # CSR degree agrees with the edge list
     assert np.array_equal(g.degree, degrees_from_edges(g.n_nodes, g.edges))
+
+
+@st.composite
+def raw_layers(draw):
+    """One to three layers over up to 14 sparse user ids, as raw inputs:
+    links drawn with repeats, self-links and reversed copies; members given
+    (some with no link in the layer) or left to the links; and the user set
+    left out or given with repeats."""
+    ids = sorted(draw(st.sets(st.integers(0, 10**6), min_size=1, max_size=14)))
+    layers = []
+    for _ in range(draw(st.integers(1, 3))):
+        members = sorted(draw(st.sets(st.sampled_from(ids), min_size=1)))
+        pick = st.sampled_from(members)
+        edges = draw(st.lists(st.tuples(pick, pick), max_size=30))
+        edges += [(w, u) for u, w in edges[:draw(st.integers(0, len(edges)))]]
+        layers.append((edges, members if draw(st.booleans()) else None))
+    union = set().union(*(reference.canonical_layer(*raw)[1] for raw in layers))
+    assume(union)
+    users = draw(st.none() | st.permutations(sorted(union) * 2))
+    return layers, users
+
+
+GRAPH_ARRAYS = (
+    "program", "computer", "comp_start", "app_node", "os_of_computer", "os_node", "is_app",
+    "edges", "indptr", "indices", "sp_edges", "sp_indptr", "sp_indices", "degree",
+)
+
+
+@given(raw_layers())
+@settings(max_examples=150, derandomize=True, deadline=None)
+def test_graph_matches_the_computer_by_computer_build(network):
+    raw, users = network
+    layers = [Layer.from_edges(edges, participants=members) for edges, members in raw]
+    canon = [reference.canonical_layer(edges, members) for edges, members in raw]
+    for layer, (links, members) in zip(layers, canon):
+        assert np.asarray(layer.edges).reshape(-1, 2).tolist() == [list(e) for e in links]
+        assert sorted(int(u) for u in layer.participants) == members
+    g = build_graph(layers, users)
+    want = reference.ReferenceGraph(canon, users)
+    for name in ("n_computers", "hbar", "os_program", "n_nodes", "n_edges"):
+        assert getattr(g, name) == getattr(want, name), name
+    for name in GRAPH_ARRAYS:
+        got, ref = getattr(g, name), getattr(want, name)
+        assert got.dtype == ref.dtype and np.array_equal(got, ref), name
 
 
 # --- implementation pool and vulnerabilities ------------------------------------
