@@ -43,7 +43,6 @@ from .threat import (
     AttackerSpec,
     AttackPhase,
     CatalogError,
-    ExploitCatalog,
     build_exploit_catalog,
     initial_compromise,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "CommGraph",
     "ConfigError",
     "DefenderSpec",
-    "ExploitCatalog",
     "ImplementationPool",
     "InitialAlgo",
     "Layer",

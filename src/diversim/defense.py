@@ -149,30 +149,23 @@ def redeploy(
     state: np.ndarray,
     nodes: np.ndarray,
     rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Replace implementations on ``nodes``; returns (installed', state', oc).
+) -> float:
+    """Replace implementations on ``nodes`` (distinct ids), updating
+    ``installed`` and ``state`` in place; returns oc, the redeployed share
+    of nodes.
 
     The new implementation is uniform over the program's other
     implementations; x == 1 reinstalls the same one. ``vulnerable`` is the
     (hbar, x) table of vulnerable implementations. A redeployed node is
     never compromised afterwards.
     """
-    new_inst = installed.copy()
-    new_state = state.copy()
     if nodes.size:
         if pool.x > 1:
             r = rng.integers(0, pool.x - 1, size=nodes.size)
-            r = r + (r >= installed[nodes])
-            new_inst[nodes] = r.astype(installed.dtype)
-        new_state[nodes] = np.where(
-            vulnerable[graph.program[nodes], new_inst[nodes]],
+            installed[nodes] = r + (r >= installed[nodes])
+        state[nodes] = np.where(
+            vulnerable[graph.program[nodes], installed[nodes]],
             VULNERABLE,
             INVULNERABLE,
         )
-    oc = nodes.size / graph.n_nodes
-    return new_inst, new_state, oc
-
-
-def defense_investment(pool: ImplementationPool) -> int:
-    """Diversity budget: programs times implementations."""
-    return pool.hbar * pool.x
+    return nodes.size / graph.n_nodes

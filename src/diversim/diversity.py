@@ -118,10 +118,10 @@ def degree_priority_assignment(
                 inst[v] = clean[0]
                 continue
             cands = np.flatnonzero(counts == counts.min())
-            nbrs = graph.same_program_neighbors(int(v))
-            colored = nbrs[inst[nbrs] >= 0]
             pick = int(cands[0])
-            if colored.size:
+            if cands.size > 1:
+                nbrs = graph.same_program_neighbors(int(v))
+                colored = nbrs[inst[nbrs] >= 0]
                 low = colored[np.lexsort((colored, graph.degree[colored]))[0]]
                 if inst[low] in cands:
                     pick = int(inst[low])

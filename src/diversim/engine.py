@@ -270,7 +270,7 @@ def init_run(
         pool, scenario.q, substream(scenario.seed, run_index, Purpose.VULNERABILITY)
     )
     installed = _initial_config(scenario, graph, run_index, fixed_installed)
-    catalog = build_exploit_catalog(
+    privesc_mask, lateral_mask = build_exploit_catalog(
         pool,
         vulnerable,
         scenario.attacker.m3,
@@ -286,11 +286,11 @@ def init_run(
         ini = initial_compromise(
             graph,
             installed,
-            catalog,
+            lateral_mask,
             vulnerable,
             scenario.attacker.initial_compromise_size,
             substream(scenario.seed, run_index, Purpose.INITIAL_COMPROMISE),
-        ).nodes
+        )
     state[ini] = COMPROMISED
 
     knowledge = AttackerKnowledge.empty(graph.n_nodes)
@@ -306,8 +306,8 @@ def init_run(
         vulnerable=vulnerable,
         installed=installed,
         state=state,
-        privesc_mask=catalog.privesc_mask(pool),
-        lateral_mask=catalog.lateral_mask(pool),
+        privesc_mask=privesc_mask,
+        lateral_mask=lateral_mask,
         knowledge=knowledge,
         agent_alive=agent_alive,
         agent_phase=agent_phase,
@@ -390,7 +390,7 @@ def _defense_substep(rs: RunState, t: int) -> float:
     spec = rs.scenario.defender
     nodes = _defense_mod.plan(spec, t, rs.state, rs.graph, rs.rng_detector, rs.rng_proactive)
     if nodes.size:
-        rs.installed, rs.state, oc = _defense_mod.redeploy(
+        oc = _defense_mod.redeploy(
             rs.graph, rs.pool, rs.vulnerable, rs.installed, rs.state, nodes, rs.rng_redeploy
         )
         rs.agent_alive[nodes] = False
@@ -503,7 +503,7 @@ def monte_carlo(
     else:
         chunks = [c.tolist() for c in np.array_split(np.asarray(indices), jobs) if c.size]
         payloads = [(scenario, graph, chunk, fixed) for chunk in chunks]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
             parts = list(pool.map(_run_chunk, payloads))
         traces = [tr for part in parts for tr in part]
     mean = mean_of(traces)

@@ -15,6 +15,11 @@ OS nodes never connect across computers, so every inter-computer edge joins
 two nodes of the same program. Node ids are computer-major (computers in
 ascending user-id order; within a computer, application nodes in program
 order, then the OS node). The graph is immutable for the whole simulation.
+
+Layers and the graph are numpy arrays only: a link list is an (E, 2) int64
+array, each link once with the lower id first, rows in ascending order, and
+the graph derives its node numbering and edges from a (computer, layer)
+participation matrix without a loop over computers or links.
 """
 from __future__ import annotations
 
@@ -59,16 +64,19 @@ class ImplementationPool:
         return self.hbar - 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Layer:
     """One application layer: undirected links over user ids.
 
-    ``participants`` may exceed the ids appearing in ``edges``; a user that
-    belongs to the layer but has no links still gets the application node.
+    ``edges`` is an (E, 2) int64 array, each link once with the lower id
+    first, rows ascending, self-links dropped. ``participants`` is the
+    layer's sorted user ids; it may exceed the ids appearing in ``edges``, and
+    a user that belongs to the layer but has no links still gets the
+    application node.
     """
 
-    edges: tuple[tuple[int, int], ...]
-    participants: frozenset[int]
+    edges: np.ndarray
+    participants: np.ndarray
 
     @classmethod
     def from_edges(
@@ -76,23 +84,31 @@ class Layer:
         edges: Iterable[tuple[int, int]],
         participants: Iterable[int] | None = None,
     ) -> "Layer":
-        seen: set[tuple[int, int]] = set()
-        for u, w in edges:
-            u, w = int(u), int(w)
-            if u < 0 or w < 0:
-                raise NetworkError(f"negative user id in edge ({u}, {w})")
-            if u == w:
-                continue  # self links carry no inter-computer information
-            seen.add((u, w) if u < w else (w, u))
-        canon = tuple(sorted(seen))
+        pairs = np.array(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
+        pairs = pairs.reshape(-1, 2)
+        if (pairs < 0).any():
+            u, w = pairs[(pairs < 0).any(axis=1)][0]
+            raise NetworkError(f"negative user id in edge ({u}, {w})")
+        # self links carry no inter-computer information
+        pairs = np.sort(pairs[pairs[:, 0] != pairs[:, 1]], axis=1)
+        # rank the ids first so that the encoded pairs cannot overflow
+        ids, rank = np.unique(pairs, return_inverse=True)
+        rank = rank.reshape(pairs.shape)
+        canon = ids[_unique_pairs(rank[:, 0], rank[:, 1], ids.size)]
         if participants is None:
-            members = frozenset(u for e in canon for u in e)
-        else:
-            members = frozenset(int(u) for u in participants)
-            missing = [e for e in canon if e[0] not in members or e[1] not in members]
-            if missing:
-                raise NetworkError(f"edge {missing[0]} references a user outside the layer")
+            return cls(canon, ids)
+        members = np.unique(np.fromiter(participants, dtype=np.int64))
+        missing = ~np.isin(canon, members).all(axis=1)
+        if missing.any():
+            u, w = canon[missing][0]
+            raise NetworkError(f"edge ({u}, {w}) references a user outside the layer")
         return cls(canon, members)
+
+
+def _unique_pairs(lo: np.ndarray, hi: np.ndarray, base: int) -> np.ndarray:
+    """Distinct (lo, hi) rows in ascending order; ids lie in [0, base)."""
+    code = np.unique(lo * base + hi)
+    return np.stack([code // base, code % base], axis=1)
 
 
 class CommGraph:
@@ -101,11 +117,13 @@ class CommGraph:
     Node attributes are stored as flat arrays indexed by node id:
     ``program`` (program index, OS == hbar-1), ``computer`` (computer
     index), ``os_node`` (the id of the node's computer's OS node).
-    ``comp_start`` delimits the contiguous node-id range of each computer.
-    Adjacency is CSR (``indptr``/``indices``); ``sp_indptr``/``sp_indices``
-    restrict it to same-program neighbors, the only ones that matter for
-    defective edges. ``edges`` and its same-program rows ``sp_edges`` list
-    each link once, lower id first, in ascending order.
+    ``comp_start`` delimits the contiguous node-id range of each computer;
+    ``app_node[c, j]`` is computer c's layer-j application node (-1 if
+    absent) and ``os_of_computer[c]`` its OS node. Adjacency is CSR
+    (``indptr``/``indices``); ``sp_indptr``/``sp_indices`` restrict it to
+    same-program neighbors, the only ones that matter for defective edges.
+    ``edges`` and its same-program rows ``sp_edges`` list each link once,
+    lower id first, in ascending order.
     """
 
     def __init__(self, layers: Sequence[Layer], users: Iterable[int] | None = None):
@@ -113,28 +131,27 @@ class CommGraph:
         if not layers:
             raise NetworkError("need at least one layer")
         if users is None:
-            users_arr = sorted(set().union(*(l.participants for l in layers)))
+            users_arr = np.unique(np.concatenate([l.participants for l in layers]))
         else:
-            users_arr = sorted(int(u) for u in set(users))
-        if not users_arr:
+            users_arr = np.unique(np.fromiter(users, dtype=np.int64))
+        if not users_arr.size:
             raise NetworkError("empty user set")
         if users_arr[0] < 0:
             raise NetworkError("negative user id")
-        self.n_computers = len(users_arr)
+        self.n_computers = int(users_arr.size)
         self.hbar = len(layers) + 1
         self.os_program = self.hbar - 1
-        user_index = {u: i for i, u in enumerate(users_arr)}
 
+        # slots[c, p]: whether computer c runs program p; every one runs the OS
+        slots = np.zeros((self.n_computers, self.hbar), dtype=bool)
+        slots[:, -1] = True
         for j, layer in enumerate(layers):
-            stray = layer.participants.difference(user_index)
-            if stray:
-                raise NetworkError(f"layer {j} references unknown user {min(stray)}")
-
-        participates = np.zeros((self.n_computers, len(layers)), dtype=bool)
-        for j, layer in enumerate(layers):
-            for u in layer.participants:
-                participates[user_index[u], j] = True
-        appless = np.flatnonzero(~participates.any(axis=1))
+            pos = np.minimum(np.searchsorted(users_arr, layer.participants), users_arr.size - 1)
+            stray = layer.participants[users_arr[pos] != layer.participants]
+            if stray.size:
+                raise NetworkError(f"layer {j} references unknown user {stray[0]}")
+            slots[pos, j] = True
+        appless = np.flatnonzero(~slots[:, :-1].any(axis=1))
         if appless.size:
             raise NetworkError(
                 f"user {users_arr[appless[0]]} participates in no layer; "
@@ -142,44 +159,28 @@ class CommGraph:
             )
 
         # computer-major node numbering: apps in program order, then the OS
-        app_counts = participates.sum(axis=1)
-        self.comp_start = np.zeros(self.n_computers + 1, dtype=np.int64)
-        np.cumsum(app_counts + 1, out=self.comp_start[1:])
+        node = np.cumsum(slots.ravel(), dtype=np.int64).reshape(slots.shape) - 1
+        self.comp_start = np.concatenate(([0], node[:, -1] + 1))
         self.n_nodes = int(self.comp_start[-1])
-
-        self.program = np.empty(self.n_nodes, dtype=np.int16)
-        self.computer = np.empty(self.n_nodes, dtype=np.int64)
-        # app_node[c, j] = node id of computer c's layer-j application, -1 if absent
-        self.app_node = np.full((self.n_computers, len(layers)), -1, dtype=np.int64)
-        self.os_of_computer = np.empty(self.n_computers, dtype=np.int64)
-        for c in range(self.n_computers):
-            nid = int(self.comp_start[c])
-            for j in range(len(layers)):
-                if participates[c, j]:
-                    self.app_node[c, j] = nid
-                    self.program[nid] = j
-                    self.computer[nid] = c
-                    nid += 1
-            self.os_of_computer[c] = nid
-            self.program[nid] = self.os_program
-            self.computer[nid] = c
+        computer, program = np.nonzero(slots)
+        self.program = program.astype(np.int16)
+        self.computer = computer.astype(np.int64)
+        self.app_node = np.where(slots[:, :-1], node[:, :-1], -1)
+        self.os_of_computer = self.comp_start[1:] - 1
         self.os_node = self.os_of_computer[self.computer]
         self.is_app = self.program != self.os_program
 
-        edges: list[tuple[int, int]] = []
-        for c in range(self.n_computers):
-            local = [int(a) for a in self.app_node[c] if a >= 0]
-            osn = int(self.os_of_computer[c])
-            for i, a in enumerate(local):
-                edges.append((a, osn))
-                for b in local[i + 1:]:
-                    edges.append((a, b))
+        # intra-computer: every pair of occupied slots; inter-computer: a
+        # layer-j link joins the layer-j slots, lower user (and node) first
+        ends = []
+        for i in range(self.hbar - 1):
+            for k in range(i + 1, self.hbar):
+                both = slots[:, i] & slots[:, k]
+                ends.append(np.stack([node[both, i], node[both, k]], axis=1))
         for j, layer in enumerate(layers):
-            for u, w in layer.edges:
-                a = int(self.app_node[user_index[u], j])
-                b = int(self.app_node[user_index[w], j])
-                edges.append((a, b) if a < b else (b, a))
-        self.edges = np.asarray(sorted(set(edges)), dtype=np.int64).reshape(-1, 2)
+            ends.append(self.app_node[np.searchsorted(users_arr, layer.edges), j])
+        ends = np.concatenate(ends)
+        self.edges = _unique_pairs(ends[:, 0], ends[:, 1], self.n_nodes)
         self.n_edges = len(self.edges)
 
         self.indptr, self.indices = _csr(self.n_nodes, self.edges)
@@ -187,9 +188,6 @@ class CommGraph:
         self.sp_edges = sp
         self.sp_indptr, self.sp_indices = _csr(self.n_nodes, sp)
         self.degree = np.diff(self.indptr)
-
-    def neighbors(self, node: int) -> np.ndarray:
-        return self.indices[self.indptr[node]:self.indptr[node + 1]]
 
     def same_program_neighbors(self, node: int) -> np.ndarray:
         return self.sp_indices[self.sp_indptr[node]:self.sp_indptr[node + 1]]
@@ -302,9 +300,9 @@ def generate_synthetic_network(
     shared = rng.choice(n_layer1, size=overlap, replace=False)
     fresh = np.arange(n_layer1, n_layer1 + n_layer2 - overlap, dtype=np.int64)
     ids2 = rng.permutation(np.concatenate([shared, fresh]))
-    edges2 = [(int(ids2[a]), int(ids2[b])) for a, b in _preferential_attachment(n_layer2, m, rng)]
+    edges2 = ids2[np.asarray(_preferential_attachment(n_layer2, m, rng), dtype=np.int64)]
     layer1 = Layer.from_edges(edges1, participants=range(n_layer1))
-    layer2 = Layer.from_edges(edges2, participants=(int(u) for u in ids2))
+    layer2 = Layer.from_edges(edges2, participants=ids2)
     return layer1, layer2
 
 
@@ -362,7 +360,7 @@ def load_network_files(
     """Load layers from edge-list files; the user set is the union of all ids
     plus the optional users file."""
     layers = tuple(Layer.from_edges(read_edge_file(p)) for p in layer_paths)
-    users = set().union(*(l.participants for l in layers)) if layers else set()
+    users = set().union(*(l.participants.tolist() for l in layers))
     if users_path is not None:
         users |= read_users_file(users_path)
     return layers, frozenset(users)

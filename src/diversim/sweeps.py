@@ -400,6 +400,8 @@ def parse_grid(text: str) -> np.ndarray:
     if len(parts) != 3:
         raise ValueError(f"grid {text!r} is not start:stop:step")
     start, stop, step = (float(p) for p in parts)
+    if not np.isfinite([start, stop, step]).all():
+        raise ValueError(f"grid {text!r} is not finite")
     if step <= 0:
         raise ValueError("grid step must be positive")
     if stop < start:

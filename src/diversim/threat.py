@@ -4,7 +4,10 @@ The attacker owns a fixed catalog: ``m3`` privilege-escalation exploits
 against OS implementations, ``m4`` lateral-movement exploits against
 application implementations, plus four fixed capabilities (remote access,
 local and remote discovery, damage) that every attacker has. The catalog is
-drawn once at run start; there is no online exploit acquisition.
+drawn once at run start as two boolean masks: an (x,) mask of the OS
+implementations it escalates on and an (hbar, x) mask of the (program,
+implementation) pairs it moves laterally onto. There is no online exploit
+acquisition.
 
 Every compromised node hosts one agent cycling through attack phases. An
 agent first installs, then loops discovery, privilege escalation, lateral
@@ -23,9 +26,6 @@ import numpy as np
 from .netmodel import CommGraph, ImplementationPool, vulnerable_count
 
 logger = logging.getLogger(__name__)
-
-#: capabilities every attacker carries regardless of catalog draws
-FIXED_EXPLOITS = ("remote_access", "local_discovery", "remote_discovery", "damage")
 
 
 class AttackPhase(IntEnum):
@@ -54,30 +54,6 @@ class CatalogError(ValueError):
 
 
 @dataclass(frozen=True)
-class ExploitCatalog:
-    """Targets drawn for one run.
-
-    ``privilege_escalation`` holds OS implementation indices;
-    ``lateral`` holds (application program, implementation) pairs.
-    """
-
-    privilege_escalation: frozenset[int]
-    lateral: frozenset[tuple[int, int]]
-
-    def privesc_mask(self, pool: ImplementationPool) -> np.ndarray:
-        mask = np.zeros(pool.x, dtype=bool)
-        for i in self.privilege_escalation:
-            mask[i] = True
-        return mask
-
-    def lateral_mask(self, pool: ImplementationPool) -> np.ndarray:
-        mask = np.zeros((pool.hbar, pool.x), dtype=bool)
-        for p, i in self.lateral:
-            mask[p, i] = True
-        return mask
-
-
-@dataclass(frozen=True)
 class AttackerSpec:
     """Attacker parameters for a scenario.
 
@@ -95,11 +71,6 @@ class AttackerSpec:
             raise ValueError("attacker sizes must be non-negative")
 
 
-def attack_investment(catalog: ExploitCatalog) -> int:
-    """Catalog size: drawn exploits plus the four fixed capabilities."""
-    return len(catalog.privilege_escalation) + len(catalog.lateral) + len(FIXED_EXPLOITS)
-
-
 def max_catalog(pool: ImplementationPool, q: float) -> tuple[int, int]:
     """Largest feasible (m3, m4) for a pool at quality q."""
     k = vulnerable_count(q, pool.x)
@@ -112,21 +83,24 @@ def build_exploit_catalog(
     m3: int,
     m4: int,
     rng: np.random.Generator,
-) -> ExploitCatalog:
+) -> tuple[np.ndarray, np.ndarray]:
     """Draw catalog targets uniformly among vulnerable implementations
     (``vulnerable`` is the (hbar, x) table of ``assign_vulnerabilities``).
 
-    ``m4`` is split as evenly as possible across the application kinds, with
-    the remainder going to lower program indices. Draws are permutation
-    prefixes, so a larger budget from a shared stream extends a smaller one.
+    Returns the privilege-escalation mask, (x,) over OS implementations, and
+    the lateral mask, (hbar, x), whose OS row stays empty. ``m4`` is split as
+    evenly as possible across the application kinds, with the remainder
+    going to lower program indices. Draws are permutation prefixes, so a
+    larger budget from a shared stream extends a smaller one.
     """
     n_apps = pool.hbar - 1
     os_vul = np.flatnonzero(vulnerable[pool.os_program])
     if m3 > os_vul.size:
         raise CatalogError(f"m3={m3} exceeds {os_vul.size} vulnerable OS implementations")
-    privesc = frozenset(int(i) for i in rng.permutation(os_vul)[:m3])
+    privesc = np.zeros(pool.x, dtype=bool)
+    privesc[rng.permutation(os_vul)[:m3]] = True
     base, rem = divmod(m4, n_apps)
-    lateral: set[tuple[int, int]] = set()
+    lateral = np.zeros((pool.hbar, pool.x), dtype=bool)
     for p in range(n_apps):
         share = base + (1 if p < rem else 0)
         app_vul = np.flatnonzero(vulnerable[p])
@@ -134,8 +108,8 @@ def build_exploit_catalog(
             raise CatalogError(
                 f"program {p} share {share} exceeds {app_vul.size} vulnerable implementations"
             )
-        lateral.update((p, int(i)) for i in rng.permutation(app_vul)[:share])
-    return ExploitCatalog(privesc, frozenset(lateral))
+        lateral[p, rng.permutation(app_vul)[:share]] = True
+    return privesc, lateral
 
 
 @dataclass(eq=False)
@@ -164,30 +138,21 @@ class AttackerKnowledge:
         return fresh
 
 
-@dataclass(frozen=True)
-class InitialCompromise:
-    nodes: np.ndarray
-    shortfall: int
-
-
 def initial_compromise(
     graph: CommGraph,
     config_installed: np.ndarray,
-    catalog: ExploitCatalog,
+    lateral: np.ndarray,
     vulnerable: np.ndarray,
     size: int,
     rng: np.random.Generator,
-) -> InitialCompromise:
-    """Sample the attacker's foothold.
+) -> np.ndarray:
+    """Sample the attacker's foothold: the chosen node ids, ascending.
 
     Primary pool: application nodes whose installed implementation is a
-    lateral catalog target. If that pool is too small, fall back to any
-    vulnerable application nodes; any remaining shortfall is reported, not
-    fatal.
+    lateral catalog target (``lateral`` is the catalog's (hbar, x) mask). If
+    that pool is too small, fall back to any vulnerable application nodes;
+    any remaining shortfall is logged, not fatal.
     """
-    lateral = np.zeros(vulnerable.shape, dtype=bool)
-    for p, i in catalog.lateral:
-        lateral[p, i] = True
     apps = np.flatnonzero(graph.is_app)
     primary = apps[lateral[graph.program[apps], config_installed[apps]]]
     take = min(size, primary.size)
@@ -203,6 +168,4 @@ def initial_compromise(
             # an empty attack surface makes the shortfall structural, not odd
             level = logging.INFO if not vulnerable.any() else logging.WARNING
             logger.log(level, "initial compromise short by %d nodes", shortfall)
-    else:
-        shortfall = 0
-    return InitialCompromise(np.sort(chosen).astype(np.int64), int(shortfall))
+    return np.sort(chosen).astype(np.int64)

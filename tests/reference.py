@@ -1,9 +1,10 @@
 """Scalar reference model of the simulation, for differential tests.
 
 ``agent_decide`` is the attacker's per-phase decision for one agent, worked
-out node by node. ``ReferenceRun`` builds a whole step on it with plain
-Python loops: defender plan, detection and redeployment, the agents' phase
-passes, OS spread and the computer-level frame. It starts from the t=0 state
+out node by node against an ``ExploitCatalog``, the catalog's targets as
+sets. ``ReferenceRun`` builds a whole step on it with plain Python loops:
+defender plan, detection and redeployment, the agents' phase passes, OS
+spread and the computer-level frame. It starts from the t=0 state
 of ``diversim.engine.init_run`` and draws from the same ``rng.Purpose``
 substreams, in the same order and sizes, as the engine, so the two must
 agree state for state and trace row for trace row.
@@ -32,7 +33,27 @@ from diversim.diversity import (
 from diversim.engine import init_run
 from diversim.netmodel import COMPROMISED, INVULNERABLE, VULNERABLE, vulnerable_count
 from diversim.rng import Purpose, substream
-from diversim.threat import PHASE_AFTER, AttackPhase, ExploitCatalog
+from diversim.threat import PHASE_AFTER, AttackPhase
+
+
+@dataclass(frozen=True)
+class ExploitCatalog:
+    """Targets drawn for one run, as sets.
+
+    ``privilege_escalation`` holds OS implementation indices;
+    ``lateral`` holds (application program, implementation) pairs.
+    """
+
+    privilege_escalation: frozenset[int]
+    lateral: frozenset[tuple[int, int]]
+
+    @classmethod
+    def from_masks(cls, privesc: np.ndarray, lateral: np.ndarray) -> "ExploitCatalog":
+        """The sets of ``diversim.threat.build_exploit_catalog``'s two masks."""
+        return cls(
+            frozenset(int(i) for i in np.flatnonzero(privesc)),
+            frozenset((int(p), int(i)) for p, i in zip(*np.nonzero(lateral))),
+        )
 
 
 @dataclass
@@ -49,6 +70,11 @@ class AttackAction:
 
     kind: str
     targets: tuple[int, ...] = ()
+
+
+def neighbors(graph, node: int) -> np.ndarray:
+    """The node's neighbors in the graph's CSR adjacency, ascending."""
+    return graph.indices[graph.indptr[node]:graph.indptr[node + 1]]
 
 
 def matches(knowledge, node: int, installed) -> bool:
@@ -71,7 +97,7 @@ def agent_decide(agent, knowledge, catalog, graph, config_installed, state) -> A
     if agent.phase == AttackPhase.INSTALL:
         return AttackAction("install", (host,))
     if agent.phase == AttackPhase.DISCOVERY:
-        nbrs = graph.neighbors(host)
+        nbrs = neighbors(graph, host)
         return AttackAction("observe", (host, *(int(w) for w in nbrs)))
     if agent.phase == AttackPhase.PRIVILEGE_ESCALATION:
         if graph.program[host] == graph.os_program:
@@ -82,7 +108,7 @@ def agent_decide(agent, knowledge, catalog, graph, config_installed, state) -> A
         return AttackAction("compromise")
     if agent.phase == AttackPhase.LATERAL_MOVEMENT:
         hits = []
-        for w in graph.neighbors(host):
+        for w in neighbors(graph, host):
             w = int(w)
             if state[w] != VULNERABLE:
                 continue
@@ -134,10 +160,7 @@ class ReferenceRun:
         self.installed = [int(i) for i in rs.installed]
         self.state = [int(s) for s in rs.state]
         self.knowledge = Knowledge([int(i) for i in rs.knowledge.impl])
-        self.catalog = ExploitCatalog(
-            frozenset(int(i) for i in np.flatnonzero(rs.privesc_mask)),
-            frozenset((int(p), int(i)) for p, i in zip(*np.nonzero(rs.lateral_mask))),
-        )
+        self.catalog = ExploitCatalog.from_masks(rs.privesc_mask, rs.lateral_mask)
         self.agents = {
             int(v): AttackAgent(int(v), AttackPhase(int(rs.agent_phase[v])), 0)
             for v in np.flatnonzero(rs.agent_alive)

@@ -460,6 +460,15 @@ def test_sweep_integer_keys_reject_fractions(tmp_path, capsys, grid):
     assert "non-integral" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("grid", ["q=0:inf:0.1", "q=-inf:1:0.1", "tau=0.1:0.3:inf",
+                                  "tau=nan:0.3:0.1"])
+def test_sweep_non_finite_grid_exits_two(tmp_path, capsys, grid):
+    cfgp = write_config(tmp_path)
+    code = main(["sweep", "--config", str(cfgp), "--out", str(tmp_path / "out"), "--sweep", grid])
+    assert code == 2
+    assert "not finite" in capsys.readouterr().err
+
+
 def test_sweep_multi_key_cartesian(tmp_path):
     cfgp = write_config(tmp_path)
     out = tmp_path / "out"

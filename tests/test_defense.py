@@ -12,7 +12,7 @@ from diversim import (
     build_graph,
 )
 from diversim.netmodel import COMPROMISED, INVULNERABLE, VULNERABLE
-from diversim.defense import KNOBS, defense_investment, detect, plan, redeploy
+from diversim.defense import KNOBS, detect, plan, redeploy
 
 
 # --- knob validation -------------------------------------------------------------
@@ -175,12 +175,12 @@ def test_redeploy_changes_impl_and_cures():
     installed = np.zeros(g.n_nodes, dtype=np.int16)
     state = np.full(g.n_nodes, COMPROMISED, dtype=np.int8)
     nodes = np.arange(g.n_nodes)
-    new_inst, new_state, oc = redeploy(g, pool, vuln, installed, state, nodes, np.random.default_rng(0))
-    assert (new_inst != 0).all()  # with x > 1 the implementation always changes
-    assert (new_state != COMPROMISED).all()
+    oc = redeploy(g, pool, vuln, installed, state, nodes, np.random.default_rng(0))
+    assert (installed != 0).all()  # with x > 1 the implementation always changes
+    assert (state != COMPROMISED).all()
     assert oc == 1.0
-    # inputs untouched
-    assert (installed == 0).all() and (state == COMPROMISED).all()
+    # updated in place, keeping the dtypes
+    assert installed.dtype == np.int16 and state.dtype == np.int8
 
 
 def test_redeploy_single_impl_reinstalls():
@@ -189,11 +189,10 @@ def test_redeploy_single_impl_reinstalls():
     vuln = np.ones((2, 1), dtype=bool)
     installed = np.zeros(g.n_nodes, dtype=np.int16)
     state = np.full(g.n_nodes, COMPROMISED, dtype=np.int8)
-    new_inst, new_state, oc = redeploy(
-        g, pool, vuln, installed, state, np.array([0]), np.random.default_rng(0)
-    )
-    assert new_inst[0] == 0
-    assert new_state[0] == VULNERABLE  # cured even though the impl repeats
+    redeploy(g, pool, vuln, installed, state, np.array([0]), np.random.default_rng(0))
+    assert installed[0] == 0
+    assert state[0] == VULNERABLE  # cured even though the impl repeats
+    assert state[1] == COMPROMISED  # nodes outside the set keep their state
 
 
 def test_redeploy_state_follows_new_impl():
@@ -204,11 +203,9 @@ def test_redeploy_state_follows_new_impl():
     vuln = vul
     installed = np.zeros(g.n_nodes, dtype=np.int16)
     state = np.full(g.n_nodes, COMPROMISED, dtype=np.int8)
-    new_inst, new_state, _ = redeploy(
-        g, pool, vuln, installed, state, np.arange(g.n_nodes), np.random.default_rng(1)
-    )
-    assert (new_inst == 1).all()
-    assert (new_state == INVULNERABLE).all()
+    redeploy(g, pool, vuln, installed, state, np.arange(g.n_nodes), np.random.default_rng(1))
+    assert (installed == 1).all()
+    assert (state == INVULNERABLE).all()
 
 
 def test_redeploy_empty_set_is_noop():
@@ -217,14 +214,9 @@ def test_redeploy_empty_set_is_noop():
     vuln = np.ones((2, 3), dtype=bool)
     installed = np.ones(g.n_nodes, dtype=np.int16)
     state = np.full(g.n_nodes, VULNERABLE, dtype=np.int8)
-    new_inst, new_state, oc = redeploy(
+    oc = redeploy(
         g, pool, vuln, installed, state, np.empty(0, dtype=np.int64), np.random.default_rng(0)
     )
-    assert np.array_equal(new_inst, installed)
-    assert np.array_equal(new_state, state)
+    assert (installed == 1).all()
+    assert (state == VULNERABLE).all()
     assert oc == 0.0
-
-
-def test_defense_investment_counts_pool():
-    assert defense_investment(ImplementationPool(hbar=3, x=10)) == 30
-    assert defense_investment(ImplementationPool(hbar=2, x=1)) == 2

@@ -21,6 +21,7 @@ from diversim import (
     run,
     write_edge_file,
 )
+from diversim import engine
 from diversim.engine import Trace, final_snapshot, init_run, resolve_graph
 from diversim.netmodel import COMPROMISED
 
@@ -211,6 +212,29 @@ def test_monte_carlo_job_count_invariant():
     parallel = monte_carlo(scn, jobs=3)
     for name in ("cc", "vc", "ic", "oc", "new_compromised"):
         assert np.array_equal(getattr(serial, name), getattr(parallel, name)), name
+
+
+def test_monte_carlo_starts_only_the_workers_it_uses(monkeypatch):
+    started = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, payloads):
+            return map(fn, payloads)
+
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", InProcessPool)
+    scn = path_scenario(runs=2)
+    mean = monte_carlo(scn, jobs=4)
+    assert started == [2]  # two runs fill two of the four workers
+    assert np.array_equal(mean.cc, monte_carlo(scn, jobs=1).cc)
 
 
 def test_monte_carlo_mean_matches_manual_average():

@@ -1,4 +1,6 @@
 """Exploit catalogs, attacker knowledge, and per-phase agent decisions."""
+import logging
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,6 @@ from diversim import (
     AttackPhase,
     AttackerSpec,
     CatalogError,
-    ExploitCatalog,
     ImplementationPool,
     Layer,
     build_exploit_catalog,
@@ -14,9 +15,9 @@ from diversim import (
     initial_compromise,
 )
 from diversim.netmodel import COMPROMISED, INVULNERABLE, VULNERABLE
-from diversim.threat import PHASE_AFTER, AttackerKnowledge, attack_investment, max_catalog
+from diversim.threat import PHASE_AFTER, AttackerKnowledge, max_catalog
 
-from reference import AttackAgent, agent_decide, matches
+from reference import AttackAgent, ExploitCatalog, agent_decide, matches, neighbors
 
 
 def full_vuln(pool):
@@ -40,14 +41,10 @@ def test_attacker_spec_validation():
 
 def test_catalog_respects_budgets_and_split():
     pool = ImplementationPool(hbar=3, x=10)
-    cat = build_exploit_catalog(pool, full_vuln(pool), 4, 5, np.random.default_rng(0))
-    assert len(cat.privilege_escalation) == 4
-    assert len(cat.lateral) == 5
-    by_prog = {}
-    for p, i in cat.lateral:
-        by_prog[p] = by_prog.get(p, 0) + 1
-    # odd budget: the extra exploit goes to the lower program index
-    assert by_prog == {0: 3, 1: 2}
+    privesc, lateral = build_exploit_catalog(pool, full_vuln(pool), 4, 5, np.random.default_rng(0))
+    assert privesc.sum() == 4
+    # odd budget: the extra exploit goes to the lower program index; none to the OS
+    assert lateral.sum(axis=1).tolist() == [3, 2, 0]
 
 
 def test_catalog_only_targets_vulnerable():
@@ -55,9 +52,9 @@ def test_catalog_only_targets_vulnerable():
     vul = np.zeros((3, 6), dtype=bool)
     vul[:, :3] = True
     vm = vul
-    cat = build_exploit_catalog(pool, vm, 3, 6, np.random.default_rng(1))
-    assert all(i < 3 for i in cat.privilege_escalation)
-    assert all(i < 3 for _, i in cat.lateral)
+    privesc, lateral = build_exploit_catalog(pool, vm, 3, 6, np.random.default_rng(1))
+    assert privesc[:3].all() and not privesc[3:].any()
+    assert lateral[:2, :3].all() and not lateral[:, 3:].any()
 
 
 def test_catalog_overdraw_rejected():
@@ -74,23 +71,19 @@ def test_catalog_budgets_nest_under_shared_stream():
     vm = full_vuln(pool)
     small = build_exploit_catalog(pool, vm, 2, 3, np.random.default_rng(5))
     large = build_exploit_catalog(pool, vm, 5, 9, np.random.default_rng(5))
-    assert small.privilege_escalation <= large.privilege_escalation
-    assert small.lateral <= large.lateral
+    for lo, hi in zip(small, large):
+        assert (~lo | hi).all()
 
 
 def test_catalog_masks():
     pool = ImplementationPool(hbar=3, x=4)
-    cat = ExploitCatalog(frozenset({1, 3}), frozenset({(0, 2), (1, 0)}))
-    pm = cat.privesc_mask(pool)
-    assert pm.tolist() == [False, True, False, True]
-    lm = cat.lateral_mask(pool)
-    assert lm[0, 2] and lm[1, 0] and lm.sum() == 2
-
-
-def test_investment_counts_fixed_capabilities():
-    cat = ExploitCatalog(frozenset({0, 1, 2, 3, 4}), frozenset((0, i) for i in range(10)))
-    assert attack_investment(cat) == 19
-    assert attack_investment(ExploitCatalog(frozenset(), frozenset())) == 4
+    pm, lm = build_exploit_catalog(pool, full_vuln(pool), 2, 3, np.random.default_rng(2))
+    assert pm.dtype == lm.dtype == bool
+    assert pm.shape == (4,) and lm.shape == (3, 4)
+    cat = ExploitCatalog.from_masks(pm, lm)
+    assert len(cat.privilege_escalation) == 2 and len(cat.lateral) == 3
+    assert all(pm[i] for i in cat.privilege_escalation)
+    assert all(lm[p, i] for p, i in cat.lateral)
 
 
 def test_max_catalog_scales_with_quality():
@@ -153,7 +146,7 @@ def test_discovery_observes_host_and_neighbors(decide_env):
     g, installed, state, cat, know = decide_env
     act = decide(g, know, cat, installed, state, 2, AttackPhase.DISCOVERY)
     assert act.kind == "observe"
-    assert set(act.targets) == {2} | set(g.neighbors(2).tolist())
+    assert set(act.targets) == {2} | set(neighbors(g, 2).tolist())
 
 
 def test_privilege_escalation_targets_local_os(decide_env):
@@ -211,38 +204,41 @@ def test_initial_compromise_prefers_catalog_targets():
     installed = np.zeros(g.n_nodes, dtype=np.int16)
     apps = np.flatnonzero(g.is_app)
     installed[apps[:3]] = 1  # three apps run impl 1, the catalog target
-    cat = ExploitCatalog(frozenset(), frozenset({(0, 1)}))
-    ic = initial_compromise(g, installed, cat, full_vuln(pool), 2, np.random.default_rng(0))
-    assert ic.shortfall == 0
-    assert set(ic.nodes) <= set(apps[:3].tolist())
+    lateral = np.zeros((2, 2), dtype=bool)
+    lateral[0, 1] = True
+    ic = initial_compromise(g, installed, lateral, full_vuln(pool), 2, np.random.default_rng(0))
+    assert ic.size == 2
+    assert set(ic.tolist()) <= set(apps[:3].tolist())
 
 
 def test_initial_compromise_falls_back_to_vulnerable():
     g = build_graph([Layer.from_edges([(0, 1), (1, 2)])])
     pool = ImplementationPool(hbar=2, x=2)
     installed = np.zeros(g.n_nodes, dtype=np.int16)
-    cat = ExploitCatalog(frozenset(), frozenset({(0, 1)}))  # nobody runs impl 1
-    ic = initial_compromise(g, installed, cat, full_vuln(pool), 2, np.random.default_rng(0))
-    assert ic.shortfall == 0
-    assert len(ic.nodes) == 2
-    assert all(g.is_app[n] for n in ic.nodes)
+    lateral = np.zeros((2, 2), dtype=bool)
+    lateral[0, 1] = True  # nobody runs impl 1
+    ic = initial_compromise(g, installed, lateral, full_vuln(pool), 2, np.random.default_rng(0))
+    assert ic.size == 2
+    assert all(g.is_app[n] for n in ic)
 
 
-def test_initial_compromise_reports_shortfall():
+def test_initial_compromise_reports_shortfall(caplog):
     g = build_graph([Layer.from_edges([(0, 1)])])
-    pool = ImplementationPool(hbar=2, x=1)
     installed = np.zeros(g.n_nodes, dtype=np.int16)
-    cat = ExploitCatalog(frozenset(), frozenset())
     vm = np.zeros((2, 1), dtype=bool)
-    ic = initial_compromise(g, installed, cat, vm, 5, np.random.default_rng(0))
-    assert ic.shortfall == 5
-    assert ic.nodes.size == 0
+    with caplog.at_level(logging.INFO, logger="diversim.threat"):
+        ic = initial_compromise(g, installed, vm, vm, 5, np.random.default_rng(0))
+    assert ic.size == 0
+    # nothing is vulnerable, so the shortfall is structural: INFO, not WARNING
+    assert [(r.levelno, r.getMessage()) for r in caplog.records] == [
+        (logging.INFO, "initial compromise short by 5 nodes")
+    ]
 
 
 def test_initial_compromise_size_zero():
     g = build_graph([Layer.from_edges([(0, 1)])])
     pool = ImplementationPool(hbar=2, x=1)
     installed = np.zeros(g.n_nodes, dtype=np.int16)
-    cat = ExploitCatalog(frozenset({0}), frozenset({(0, 0)}))
-    ic = initial_compromise(g, installed, cat, full_vuln(pool), 0, np.random.default_rng(0))
-    assert ic.nodes.size == 0 and ic.shortfall == 0
+    lateral = full_vuln(pool)
+    ic = initial_compromise(g, installed, lateral, full_vuln(pool), 0, np.random.default_rng(0))
+    assert ic.size == 0
