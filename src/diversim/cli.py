@@ -15,8 +15,6 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from . import sweeps
 from .config import ConfigError, LoadedConfig, load_scenario
 from .defense import SpecError
@@ -82,7 +80,7 @@ def cmd_gen_network(args) -> int:
     )
     write_edge_file(out / "layer1.edges", layer1.edges, comment="synthetic layer 1")
     write_edge_file(out / "layer2.edges", layer2.edges, comment="synthetic layer 2")
-    users = np.union1d(layer1.participants, layer2.participants)
+    users = sorted(set(layer1.participants.tolist()) | set(layer2.participants.tolist()))
     with open(out / "users.txt", "w") as fh:
         fh.write("\n".join(str(u) for u in users) + "\n")
     print(f"layer1: {len(layer1.participants)} users, {len(layer1.edges)} edges")

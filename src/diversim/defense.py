@@ -150,9 +150,8 @@ def redeploy(
     nodes: np.ndarray,
     rng: np.random.Generator,
 ) -> float:
-    """Replace implementations on ``nodes`` (distinct ids), updating
-    ``installed`` and ``state`` in place; returns oc, the redeployed share
-    of nodes.
+    """Replace implementations on ``nodes`` (distinct ids) in place, in
+    ``installed`` and ``state``; returns oc, the redeployed share of nodes.
 
     The new implementation is uniform over the program's other
     implementations; x == 1 reinstalls the same one. ``vulnerable`` is the

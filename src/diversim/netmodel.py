@@ -326,6 +326,8 @@ def read_edge_file(path: str | Path) -> list[tuple[int, int]]:
                 raise NetworkError(f"{path}:{lineno}: non-integer id in {line!r}") from None
             if u < 0 or w < 0:
                 raise NetworkError(f"{path}:{lineno}: negative user id")
+            if max(u, w) >= 2**63:
+                raise NetworkError(f"{path}:{lineno}: user id does not fit in int64")
             edges.append((u, w))
     return edges
 
@@ -347,9 +349,12 @@ def read_users_file(path: str | Path) -> frozenset[int]:
             if not line or line.startswith("#"):
                 continue
             try:
-                users.add(int(line))
+                u = int(line)
             except ValueError:
                 raise NetworkError(f"{path}:{lineno}: non-integer user id {line!r}") from None
+            if u >= 2**63:
+                raise NetworkError(f"{path}:{lineno}: user id does not fit in int64")
+            users.add(u)
     return frozenset(users)
 
 

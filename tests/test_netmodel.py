@@ -320,7 +320,7 @@ def test_edge_file_skips_comments_and_blanks(tmp_path):
     assert read_edge_file(path) == [(1, 2), (3, 4)]
 
 
-@pytest.mark.parametrize("body", ["1 2 3\n", "a b\n", "-1 2\n"])
+@pytest.mark.parametrize("body", ["1 2 3\n", "a b\n", "-1 2\n", "1 9223372036854775808\n"])
 def test_edge_file_rejects_malformed_lines(tmp_path, body):
     path = tmp_path / "bad.edges"
     path.write_text(body)
@@ -332,9 +332,10 @@ def test_users_file(tmp_path):
     path = tmp_path / "users.txt"
     path.write_text("# ids\n3\n1\n3\n")
     assert read_users_file(path) == frozenset({1, 3})
-    path.write_text("x\n")
-    with pytest.raises(NetworkError):
-        read_users_file(path)
+    for body in ("x\n", "9223372036854775808\n"):
+        path.write_text(body)
+        with pytest.raises(NetworkError):
+            read_users_file(path)
 
 
 def test_load_network_files_union(tmp_path):
