@@ -18,7 +18,7 @@ order, then the OS node). The graph is immutable for the whole simulation.
 
 Layers and the graph are numpy arrays only: a link list is an (E, 2) int64
 array, each link once with the lower id first, rows in ascending order, and
-the graph derives its node numbering and edges from a (computer, layer)
+the graph derives its node numbering and edges from a (computer, program)
 participation matrix without a loop over computers or links.
 """
 from __future__ import annotations
