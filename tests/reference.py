@@ -9,9 +9,12 @@ of ``diversim.engine.init_run`` and draws from the same ``rng.Purpose``
 substreams, in the same order and sizes, as the engine, so the two must
 agree state for state and trace row for trace row.
 
-``color_flipping`` and ``switching`` are the two coloring sweeps of
-``diversim.diversity`` written node by node in ascending id, each node seeing
-the colors its lower-id neighbors took earlier in the same sweep.
+``color_flipping``, ``switching`` and ``degree_priority_assignment`` are the
+colorings of ``diversim.diversity`` written node by node. The two sweeps go in
+ascending id, each node seeing the colors its lower-id neighbors took earlier
+in the same sweep; the degree-priority pre-assignment goes in degree rank,
+each node seeing the colors of the neighbors ranked before it. Neighbors come
+from ``same_program_neighbors``, a slice of the graph's same-program CSR.
 
 ``ReferenceGraph`` is the communication graph of ``diversim.netmodel`` built
 computer by computer from the layers ``canonical_layer`` reads.
@@ -277,10 +280,15 @@ class ReferenceRun:
 
 # --- colorings ----------------------------------------------------------------
 
+def same_program_neighbors(graph, v: int) -> np.ndarray:
+    """The node's neighbors in the graph's same-program CSR adjacency, ascending."""
+    return graph.sp_indices[graph.sp_indptr[v]:graph.sp_indptr[v + 1]]
+
+
 def local_counts(graph, inst, v: int, x: int) -> list[int]:
     """Same-program neighbors of ``v`` per implementation; -1 is uncolored."""
     counts = [0] * x
-    for w in graph.same_program_neighbors(v):
+    for w in same_program_neighbors(graph, v):
         if inst[w] >= 0:
             counts[int(inst[w])] += 1
     return counts
@@ -325,6 +333,41 @@ def switching(graph, inst, members, x: int) -> int:
         sweeps += 1
         if not changed:
             return sweeps
+
+
+def degree_priority_assignment(graph, pool):
+    """Program by program: the nodes in degree rank (degree descending, ties
+    by id) are colored one after another, then ``switching`` runs over the
+    program; the report's ``sweeps`` sums the switching sweeps.
+
+    The node at rank ``pos`` keeps ``pos % x`` unless a colored neighbor runs
+    it; else it takes the first implementation no colored neighbor runs;
+    else the first one the fewest colored neighbors run, or, when that
+    fewest is shared, the implementation of its lowest-(degree, id) colored
+    neighbor if that one is among the fewest. Uncolored neighbors hold -1.
+    """
+    x = pool.x
+    inst = np.full(graph.n_nodes, -1, dtype=np.int16)
+    sweeps = 0
+    for prog in range(graph.hbar):
+        members = [v for v in range(graph.n_nodes) if graph.program[v] == prog]
+        if not members:
+            continue
+        ranked = sorted(members, key=lambda v: (-int(graph.degree[v]), v))
+        for pos, v in enumerate(ranked):
+            counts = local_counts(graph, inst, v, x)
+            if counts[pos % x] == 0:
+                inst[v] = pos % x
+            elif 0 in counts:
+                inst[v] = counts.index(0)
+            else:
+                fewest = min(counts)
+                colored = [int(w) for w in same_program_neighbors(graph, v) if inst[w] >= 0]
+                low = min(colored, key=lambda w: (int(graph.degree[w]), w))
+                inst[v] = inst[low] if counts[inst[low]] == fewest else counts.index(fewest)
+        sweeps += switching(graph, inst, members, x)
+    base = count_defective_edges(graph, inst)
+    return inst, ColoringReport(base.defective_edges, base.per_program, sweeps)
 
 
 # --- communication graph --------------------------------------------------------

@@ -1,6 +1,4 @@
 """Coloring algorithms: defect counting, local searches, determinism."""
-from unittest import mock
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -194,6 +192,10 @@ def multi_layer(draw):
 @example(line_graph(30), 2, 0)  # every application node is its own level
 @example(line_graph(30), 3, 1)
 @example(complete_graph(6), 4, 1)  # dense: the two switching rules part ways
+@example(complete_graph(6), 2, 0)  # every node past the first x has a conflict
+@example(complete_graph(6), 3, 0)
+@example(line_graph(30), 1, 0)  # one implementation: all but the ends conflict
+@example(build_graph([Layer.from_edges([(0, 1), (0, 2), (0, 3), (1, 2)])]), 2, 0)  # tie-break decides
 @settings(max_examples=60, derandomize=True, deadline=None)
 def test_colorings_match_the_node_by_node_sweeps(graph, x, seed):
     pool = ImplementationPool(hbar=graph.hbar, x=x)
@@ -203,8 +205,7 @@ def test_colorings_match_the_node_by_node_sweeps(graph, x, seed):
     assert np.array_equal(got, want) and got_rep == want_rep
 
     got, got_rep = degree_priority_assignment(graph, pool)
-    with mock.patch.object(diversity, "_switching", reference.switching):
-        want, want_rep = degree_priority_assignment(graph, pool)
+    want, want_rep = reference.degree_priority_assignment(graph, pool)
     assert got.dtype == want.dtype == np.int16
     assert np.array_equal(got, want) and got_rep == want_rep
 
