@@ -90,6 +90,8 @@ def cmd_gen_network(args) -> int:
 
 
 def _load(args) -> LoadedConfig:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     cfg = load_scenario(args.config)
     overrides = {k: v for k, v in (("seed", args.seed), ("runs", args.runs)) if v is not None}
     try:

@@ -225,7 +225,10 @@ def sweep(
     for spec in specs:
         base = variant(cfg.scenario, spec)
         name = spec.strategy.value
-        pairs = _expand(cfg, base, swept)
+        try:
+            pairs = _expand(cfg, base, swept)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if single == "tau":
             # dynamics are tau-independent: one ensemble, one row per threshold
             means[name] = mean = run_cell(base, jobs=jobs)

@@ -211,6 +211,15 @@ def test_bad_number_flags_exit_two(tmp_path, capsys, flags):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--sweep", "q=0:1:0.5"]], ids=["run", "sweep"])
+def test_jobs_below_one_exits_two(tmp_path, capsys, command, jobs):
+    cfgp = write_config(tmp_path)
+    argv = command + ["--config", str(cfgp), "--out", str(tmp_path / "o"), "--jobs", jobs]
+    assert main(argv) == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
 def test_hybrid_union_gives_the_hybrid_member_eta1(tmp_path):
     knobs = "  eta1: 0.5\n  eta2: 0.2\n  fpr: 0.1\n  fnr: 0.1\n"
     path = write_config(tmp_path, strategy="[proactive, hybrid]",
@@ -467,6 +476,14 @@ def test_sweep_non_finite_grid_exits_two(tmp_path, capsys, grid):
     code = main(["sweep", "--config", str(cfgp), "--out", str(tmp_path / "out"), "--sweep", grid])
     assert code == 2
     assert "not finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid", ["q=0:2:1", "ini_comp=-1:0:1", "m3=-1:0:1", "budget=-5:0:5"])
+def test_sweep_out_of_range_grid_exits_two(tmp_path, capsys, grid):
+    cfgp = write_config(tmp_path)
+    code = main(["sweep", "--config", str(cfgp), "--out", str(tmp_path / "out"), "--sweep", grid])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_sweep_multi_key_cartesian(tmp_path):
