@@ -342,9 +342,9 @@ def degree_priority_assignment(graph, pool):
 
     The node at rank ``pos`` keeps ``pos % x`` unless a colored neighbor runs
     it; else it takes the first implementation no colored neighbor runs;
-    else the first one the fewest colored neighbors run, or, when that
-    fewest is shared, the implementation of its lowest-(degree, id) colored
-    neighbor if that one is among the fewest. Uncolored neighbors hold -1.
+    else the implementation of its lowest-(degree, id) colored neighbor if
+    the fewest colored neighbors run it, or else the first one the fewest
+    run. Uncolored neighbors hold -1.
     """
     x = pool.x
     inst = np.full(graph.n_nodes, -1, dtype=np.int16)
