@@ -12,8 +12,13 @@ within a pass and effects applied between passes. This is a deterministic
 linearization of concurrently acting agents; pass effects are idempotent,
 so within a pass the host order cannot change the outcome.
 
-State lives in flat numpy arrays indexed by node id, which keeps a step at
-a handful of vectorized operations regardless of how many agents act.
+State lives in flat numpy arrays indexed by node id, and a step is a
+handful of vectorized operations with no loop over agents. Discovery and
+lateral movement find their targets from whichever side is cheaper: they
+push from the acting agents' adjacency lists, or, when those lists hold
+more entries than there are nodes and than the lists of the nodes that can
+still be hit, pull from the latter. Either way a step costs about the
+smaller of the two, not the agents' whole adjacency.
 """
 from __future__ import annotations
 
@@ -327,6 +332,34 @@ def _mark_compromised(rs: RunState, nodes: np.ndarray) -> None:
     rs.knowledge.observe(nodes, rs.installed)
 
 
+def _reached(
+    g: CommGraph, sources: np.ndarray, admits: Callable[[np.ndarray | slice], np.ndarray]
+) -> np.ndarray:
+    """The distinct nodes ``v``, ascending, with ``admits(v)`` and a neighbor
+    in ``sources`` (distinct node ids). ``admits`` takes node ids, or
+    ``slice(None)`` for every node.
+
+    Push gathers the sources' lists and keeps the admitted entries. Pull
+    scans every node for the admitted ones and keeps those whose own list
+    holds a source; it runs only when the sources' entries outnumber both
+    that scan and the admitted nodes' entries (direction-optimizing BFS,
+    Beamer, Asanovic & Patterson, SC 2012).
+    """
+    mark = np.zeros(g.n_nodes, dtype=bool)
+    entries = g.degree[sources].sum()
+    if entries > g.n_nodes:
+        # reduceat cannot reduce an empty segment
+        cand = np.flatnonzero(admits(slice(None)) & (g.degree > 0))
+        deg = g.degree[cand]
+        if entries > deg.sum():
+            mark[sources] = True
+            hit = mark[gather_neighbors(g.indptr, g.indices, cand)]
+            return cand[np.logical_or.reduceat(hit, np.cumsum(deg) - deg)] if cand.size else cand
+    nbrs = gather_neighbors(g.indptr, g.indices, sources)
+    mark[nbrs[admits(nbrs)]] = True
+    return np.flatnonzero(mark)
+
+
 def _attack_substep(rs: RunState, t: int) -> int:
     g = rs.graph
     newly: list[np.ndarray] = []
@@ -336,14 +369,20 @@ def _attack_substep(rs: RunState, t: int) -> int:
         ph = rs.agent_phase[hosts]
         discovering = hosts[ph == AttackPhase.DISCOVERY]
         if discovering.size:
-            nbrs = gather_neighbors(g.indptr, g.indices, discovering)
-            obs = np.concatenate([discovering, nbrs])
-            fresh += rs.knowledge.observe(obs, rs.installed)
+            # a host's own entry is current: it was observed when the host
+            # was compromised, and redeploying the host kills its agent
+            def stale(v: np.ndarray | slice) -> np.ndarray:
+                return rs.knowledge.impl[v] != rs.installed[v]
+
+            fresh += rs.knowledge.observe(_reached(g, discovering, stale), rs.installed)
         escalating = hosts[ph == AttackPhase.PRIVILEGE_ESCALATION]
         if escalating.size:
             apps = escalating[g.is_app[escalating]]
             if apps.size:
-                os_targets = np.unique(g.os_node[apps])
+                # node ids are computer-major, so ascending apps give
+                # non-decreasing OS nodes
+                os_targets = g.os_node[apps]
+                os_targets = os_targets[np.concatenate(([True], os_targets[1:] != os_targets[:-1]))]
                 hit = os_targets[
                     (rs.state[os_targets] == VULNERABLE)
                     & rs.privesc_mask[rs.installed[os_targets]]
@@ -353,13 +392,15 @@ def _attack_substep(rs: RunState, t: int) -> int:
                     newly.append(hit)
         moving = hosts[ph == AttackPhase.LATERAL_MOVEMENT]
         if moving.size:
-            nbrs = gather_neighbors(g.indptr, g.indices, moving)
-            ok = (
-                (rs.state[nbrs] == VULNERABLE)
-                & (rs.knowledge.impl[nbrs] == rs.installed[nbrs])
-                & rs.lateral_mask[g.program[nbrs], rs.installed[nbrs]]
-            )
-            hit = np.unique(nbrs[ok])
+            def exploitable(v: np.ndarray | slice) -> np.ndarray:
+                inst = rs.installed[v]
+                return (
+                    (rs.state[v] == VULNERABLE)
+                    & (rs.knowledge.impl[v] == inst)
+                    & rs.lateral_mask[g.program[v], inst]
+                )
+
+            hit = _reached(g, moving, exploitable)
             if hit.size:
                 _mark_compromised(rs, hit)
                 newly.append(hit)

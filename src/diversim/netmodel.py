@@ -58,6 +58,9 @@ class ImplementationPool:
             raise NetworkError("pool needs at least one application program plus the OS")
         if self.x < 1:
             raise NetworkError("each program needs at least one implementation")
+        # configurations are int16 arrays of implementation indices
+        if self.x > np.iinfo(np.int16).max:
+            raise NetworkError(f"x={self.x} exceeds {np.iinfo(np.int16).max} implementations")
 
     @property
     def os_program(self) -> int:

@@ -130,7 +130,9 @@ class AttackerKnowledge:
         return cls(np.full(n_nodes, -1, dtype=np.int16))
 
     def observe(self, nodes: np.ndarray, installed: np.ndarray) -> int:
-        """Record observations; returns how many entries gained information."""
+        """Record observations; returns how many entries gained information,
+        exactly when ``nodes`` are distinct (a repeated stale node counts
+        once per occurrence)."""
         # installed implementations are never negative, so an unobserved
         # entry always counts as fresh
         fresh = int((self.impl[nodes] != installed[nodes]).sum())

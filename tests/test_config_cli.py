@@ -220,6 +220,22 @@ def test_jobs_below_one_exits_two(tmp_path, capsys, command, jobs):
     assert "--jobs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("algo", ["random", "degree_priority"])
+def test_x_beyond_int16_configurations_exits_two(tmp_path, capsys, algo):
+    # configurations are int16 arrays of implementation indices, so x <= 32767
+    path = write_config(tmp_path, x=f"40000\n  initial_algo: {algo}")
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "32767" in capsys.readouterr().err
+
+
+def test_sweep_x_beyond_int16_configurations_exits_two(tmp_path, capsys):
+    cfgp = write_config(tmp_path)
+    code = main(["sweep", "--config", str(cfgp), "--out", str(tmp_path / "out"),
+                 "--sweep", "x=40000:40000:1"])
+    assert code == 2
+    assert "32767" in capsys.readouterr().err
+
+
 def test_hybrid_union_gives_the_hybrid_member_eta1(tmp_path):
     knobs = "  eta1: 0.5\n  eta2: 0.2\n  fpr: 0.1\n  fnr: 0.1\n"
     path = write_config(tmp_path, strategy="[proactive, hybrid]",

@@ -226,6 +226,9 @@ def test_pool_validation():
         ImplementationPool(hbar=1, x=5)
     with pytest.raises(NetworkError):
         ImplementationPool(hbar=3, x=0)
+    with pytest.raises(NetworkError, match="32767"):
+        ImplementationPool(hbar=3, x=32768)
+    assert ImplementationPool(hbar=3, x=32767).x == 32767
     assert ImplementationPool(hbar=3, x=5).os_program == 2
 
 

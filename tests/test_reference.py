@@ -4,12 +4,21 @@ On small random graphs the engine's run state must equal the stepper's after
 every step, and ``run``'s trace, with and without a step callback (the
 passive-defender saturation exit runs only without one), must equal the
 stepper's rows.
+
+Discovery and lateral movement find their targets with ``engine._reached``,
+which either pushes from the agents' adjacency lists or pulls from the
+admitted nodes' lists. The helper is checked on its own against neighbor
+sets in both directions, and a fixed dense example makes the differential
+test take both directions for both phases.
 """
+from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from diversim import (
@@ -24,9 +33,10 @@ from diversim import (
     build_graph,
     run,
 )
+from diversim import engine
 from diversim.netmodel import vulnerable_count
 
-from reference import ReferenceRun
+from reference import ReferenceRun, _csr, neighbors
 
 
 @dataclass(frozen=True)
@@ -148,11 +158,21 @@ EDGE_CASE = Case(
 )
 
 
+# every user linked to every other: three agents' lists outnumber the nodes,
+# so both phases pull once the admitted nodes are few, and push before
+DENSE_CASE = Case(
+    n_users=7, edges0=tuple((i, j) for i in range(7) for j in range(i + 1, 7)), members1=(),
+    edges1=(), x=2, q=1.0, m3=4, m4=8, ini_comp=3, algo=InitialAlgo.DEGREE_PRIORITY,
+    eta1=0.2, eta2=0.25, fpr=0.1, fnr=0.2, hybrid_union=False, t_max=24, seed=5, run_index=0,
+)
+
+
 @pytest.mark.parametrize("defender_first", [True, False])
 @pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
 @given(case=cases())
 @example(case=EDGE_CASE)
 @example(case=replace(EDGE_CASE, x=3, q=1.0))
+@example(case=DENSE_CASE)
 @settings(max_examples=25, derandomize=True, deadline=None)
 def test_engine_matches_reference_stepper(strategy, defender_first, case):
     scn = scenario_of(case, strategy, defender_first)
@@ -169,3 +189,75 @@ def test_engine_matches_reference_stepper(strategy, defender_first, case):
     assert rows_of(traced) == ref.rows
     plain = run(scn, case.run_index, graph=graph)
     assert rows_of(plain) == ref.rows
+
+
+# --- push and pull ------------------------------------------------------------------
+
+@contextmanager
+def directions():
+    """Counts, per admission rule name, the ``engine._reached`` calls that
+    pushed (gathered the sources' lists) and those that pulled."""
+    taken = Counter()
+    call = {}
+    reached, gather = engine._reached, engine.gather_neighbors
+
+    def logged_reached(g, sources, admits):
+        call.update(sources=sources, rule=admits.__name__)
+        return reached(g, sources, admits)
+
+    def logged_gather(indptr, indices, hosts):
+        if call:
+            taken[call["rule"], "push" if hosts is call["sources"] else "pull"] += 1
+            call.clear()
+        return gather(indptr, indices, hosts)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_reached", logged_reached)
+        mp.setattr(engine, "gather_neighbors", logged_gather)
+        yield taken
+
+
+@pytest.mark.parametrize("strategy", [Strategy.STATIC, Strategy.PROACTIVE], ids=lambda s: s.value)
+def test_dense_example_pushes_and_pulls_in_both_phases(strategy):
+    scn = scenario_of(DENSE_CASE, strategy, True)
+    with directions() as taken:
+        run(scn, DENSE_CASE.run_index, graph=scn.network.graph)
+    assert set(taken) == {(rule, way) for rule in ("stale", "exploitable")
+                              for way in ("push", "pull")}
+
+
+@st.composite
+def reach_inputs(draw, pull: bool):
+    """A small graph with some isolated nodes, source nodes and an admission
+    mask. A pull needs many sources and few admitted nodes, a push the
+    opposite, so the coins lean that way."""
+    def flips(k, true_in_four):
+        coin = st.sampled_from([True] * true_in_four + [False] * (4 - true_in_four))
+        return draw(st.lists(coin, min_size=k, max_size=k))
+
+    linked = draw(st.integers(1, 10))
+    n = linked + draw(st.integers(0, 3))
+    ids = draw(st.permutations(range(n)))
+    pairs = [(ids[i], ids[j]) for i in range(linked) for j in range(i + 1, linked)]
+    edges = [p for p, keep in zip(pairs, flips(len(pairs), 2)) if keep]
+    sources = [v for v, keep in enumerate(flips(n, 3 if pull else 1)) if keep]
+    return n, edges, sources, flips(n, 1 if pull else 2)
+
+
+@pytest.mark.parametrize("direction", ["push", "pull"])
+@given(data=st.data())
+@settings(max_examples=150, derandomize=True, deadline=None)
+def test_reached_matches_neighbor_sets(direction, data):
+    n, edges, sources, admitted = data.draw(reach_inputs(pull=direction == "pull"))
+    indptr, indices = _csr(n, edges)
+    g = SimpleNamespace(n_nodes=n, indptr=indptr, indices=indices, degree=np.diff(indptr))
+    mask = np.asarray(admitted, dtype=bool)
+
+    def admits(v):
+        return mask[v]
+
+    with directions() as taken:
+        got = engine._reached(g, np.asarray(sources, dtype=np.int64), admits)
+    want = sorted({int(w) for v in sources for w in neighbors(g, v) if admitted[w]})
+    assert got.tolist() == want
+    assume(taken == Counter({("admits", direction): 1}))
