@@ -153,6 +153,8 @@ def _defender_specs(sec: dict, tau: float, algo: InitialAlgo) -> tuple[DefenderS
         strategy = _STRATEGY_ALIASES.get(str(name).lower())
         if strategy is None:
             raise ConfigError(f"unknown strategy {name!r}")
+        if any(s.strategy is strategy for s in specs):
+            raise ConfigError(f"defender.strategy lists {strategy.value} twice")
         required, optional = KNOBS[strategy]
         # hybrid's eta1 is the one optional knob; hybrid_union asks for it
         wanted = required + optional if hybrid_union else required

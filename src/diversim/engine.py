@@ -538,15 +538,14 @@ def monte_carlo(
     """
     graph = resolve_graph(scenario.network)
     fixed = _shared_coloring(scenario, graph)
-    indices = list(range(scenario.runs))
-    if jobs <= 1:
-        traces = [run(scenario, i, graph=graph, fixed_installed=fixed) for i in indices]
+    chunks = np.array_split(np.arange(scenario.runs), max(jobs, 1))
+    payloads = [(scenario, graph, c.tolist(), fixed) for c in chunks if c.size]
+    if len(payloads) == 1:
+        parts = map(_run_chunk, payloads)  # one chunk needs no worker process
     else:
-        chunks = [c.tolist() for c in np.array_split(np.asarray(indices), jobs) if c.size]
-        payloads = [(scenario, graph, chunk, fixed) for chunk in chunks]
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+        with ProcessPoolExecutor(max_workers=len(payloads)) as pool:
             parts = list(pool.map(_run_chunk, payloads))
-        traces = [tr for part in parts for tr in part]
+    traces = [tr for part in parts for tr in part]
     mean = mean_of(traces)
     return (mean, traces) if collect else mean
 

@@ -1,13 +1,13 @@
 """Scenario families and parameter sweeps.
 
-``run_family`` runs one Monte Carlo ensemble per defender of a loaded
-scenario family. ``sweep`` expands the family and the swept keys into a
-Cartesian grid of independent cells, runs every cell, and reduces the cells
-to ``sweep.csv`` rows and ``summary.csv`` rows. The metrics that compare
-ensembles are defined here: asd against the monoculture twin, vt along a q
-sweep and aec along a budget sweep; the per-trace reductions they use live
-in ``metrics``. Cells share the master seed: sweeping a knob compares like
-against like, with all random substreams coupled across cells.
+``run_family`` (one cell per defender of a scenario family) and ``sweep``
+(the family times the Cartesian grid of the swept keys) make one pass:
+expand every cell, so a bad grid fails before anything runs; run each
+distinct simulation once (``_run_cells``); reduce the mean traces to
+``sweep.csv`` and ``summary.csv`` rows. The metrics that compare ensembles
+are defined here: asd against the monoculture twin, vt along a q sweep and
+aec along a budget sweep; the per-trace reductions live in ``metrics``. Cells
+share the master seed, so all random substreams are coupled across cells.
 """
 from __future__ import annotations
 
@@ -174,18 +174,29 @@ def _expand(
 
 # --- execution and derived metrics ---------------------------------------------------
 
+def _run_cells(cells: Sequence[Scenario], jobs: int) -> list[MeanTrace]:
+    """The mean trace of every cell in order, from one ``run_cell`` call per
+    distinct simulation: tau is read only by the reductions, and the cells of
+    a family share network, t_max, runs, seed and defender order."""
+    keys = [(c.pool, c.q, c.attacker, replace(c.defender, tau=0.0)) for c in cells]
+    means: dict[tuple, MeanTrace] = {}
+    for cell, key in zip(cells, keys):
+        if key not in means:
+            means[key] = run_cell(cell, jobs=jobs)
+    return [means[key] for key in keys]
+
+
 def run_family(cfg: LoadedConfig, jobs: int = 1) -> tuple[list[tuple], list[tuple]]:
     """One ensemble per defender of the family.
 
     Returns (cell, mean trace) per defender, and summary rows: tts, awd and
     aoc per defender, then asd against a monoculture member.
     """
-    ensembles, summary = [], []
-    for spec in cfg.defenders:
-        cell = variant(cfg.scenario, spec)
-        mean = run_cell(cell, jobs=jobs)
-        ensembles.append((cell, mean))
-        name, tau = spec.strategy.value, spec.tau
+    cells = [variant(cfg.scenario, spec) for spec in cfg.defenders]
+    ensembles = list(zip(cells, _run_cells(cells, jobs)))
+    summary = []
+    for cell, mean in ensembles:
+        name, tau = cell.defender.strategy.value, cell.defender.tau
         t = metrics.tts(mean, tau)
         summary += [
             (name, tau, "tts", len(mean) - 1 if t is None else t, t is None),
@@ -217,33 +228,21 @@ def sweep(
     specs = list(cfg.defenders)
     if single in ("tau", "budget") and not any(s.strategy is Strategy.MONOCULTURE for s in specs):
         specs.append(monoculture_baseline(cfg.scenario).defender)
+    try:
+        members = [(spec, _expand(cfg, variant(cfg.scenario, spec), swept)) for spec in specs]
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    cell_traces = iter(_run_cells([cell for _, pairs in members for _, cell in pairs], jobs))
 
     rows: list[dict] = []
     summary: list[tuple] = []
     means: dict[str, MeanTrace] = {}
     crossings: dict = {}
-    for spec in specs:
-        base = variant(cfg.scenario, spec)
+    for spec, pairs in members:
         name = spec.strategy.value
-        try:
-            pairs = _expand(cfg, base, swept)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-        if single == "tau":
-            # dynamics are tau-independent: one ensemble, one row per threshold
-            means[name] = mean = run_cell(base, jobs=jobs)
-            rows += [cell_row(cell, "tau", tau, mean, tau) for tau, cell in pairs]
-            continue
         values, curve = [], []
-        # a member a swept key leaves alone (the monoculture twin in an x
-        # sweep, a defender without the swept knob) repeats a cell; the other
-        # fields are the same in every cell of a sweep
-        cell_means: dict[tuple, MeanTrace] = {}
         for value, cell in pairs:
-            same = (cell.pool, cell.q, cell.attacker, cell.defender)
-            if same not in cell_means:
-                cell_means[same] = run_cell(cell, jobs=jobs)
-            mean = cell_means[same]
+            means[name] = mean = next(cell_traces)  # one trace per member in a tau sweep
             row = cell_row(cell, "+".join(keys), value, mean, cell.defender.tau)
             rows.append(row)
             values.append(value)

@@ -467,6 +467,45 @@ def test_sweep_defender_knob_over_family(tmp_path, monkeypatch):
         "0.000000", "0.100000", "0.200000"]
 
 
+FAMILY_KNOBS = "  eta1: 0.5\n  eta2: 0.25\n  fpr: 0.1\n  fnr: 0.1\n"
+
+
+@pytest.mark.parametrize("argv,ensembles", [
+    (["--sweep", "tau=0.1:0.5:0.2"], 5),  # one per member and one for the monoculture twin
+    (["--sweep", "tau=0.1:0.5:0.2", "--sweep", "q=0.5:1:0.5"], 8),  # one per member and q
+])
+def test_sweep_cells_differing_only_in_tau_share_an_ensemble(tmp_path, monkeypatch, argv,
+                                                             ensembles):
+    calls = count_run_cells(monkeypatch)
+    cfgp = write_config(tmp_path, strategy="[static, proactive, reactive, hybrid]",
+                        extra=FAMILY_KNOBS)
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfgp), "--out", str(out), *argv]) == 0
+    assert len(calls) == ensembles
+    assert len((out / "sweep.csv").read_text().splitlines()) == 1 + len(calls) * 3  # 3 tau rows each
+
+
+def test_sweep_checks_every_cell_before_running_any(tmp_path, capsys, monkeypatch):
+    calls = count_run_cells(monkeypatch)
+    cfgp = write_config(tmp_path, strategy="[static, reactive, proactive]", extra=FAMILY_KNOBS)
+    code = main(["sweep", "--config", str(cfgp), "--out", str(tmp_path / "out"),
+                 "--sweep", "eta2=0:0.5:0.25"])
+    assert code == 2
+    assert "eta2 outside" in capsys.readouterr().err
+    # eta2=0 is bad only for proactive, the last member
+    assert calls == []
+
+
+@pytest.mark.parametrize("strategy", ["[reactive, reactive_adaptive]", "[static, static]"])
+@pytest.mark.parametrize("argv", [["run"], ["sweep", "--sweep", "q=0.5:1:0.5"]])
+def test_family_listing_a_strategy_twice_exits_two(tmp_path, capsys, strategy, argv):
+    cfgp = write_config(tmp_path, strategy=strategy, extra="  fpr: 0.1\n  fnr: 0.1\n")
+    command, *rest = argv
+    code = main([command, "--config", str(cfgp), "--out", str(tmp_path / "out"), *rest])
+    assert code == 2
+    assert "twice" in capsys.readouterr().err
+
+
 def test_sweep_knob_no_member_takes_exits_two(tmp_path, capsys):
     cfgp = write_config(tmp_path, strategy="[static, proactive]",
                         extra="  eta1: 0.5\n  eta2: 0.2\n")

@@ -235,6 +235,10 @@ def test_monte_carlo_starts_only_the_workers_it_uses(monkeypatch):
     mean = monte_carlo(scn, jobs=4)
     assert started == [2]  # two runs fill two of the four workers
     assert np.array_equal(mean.cc, monte_carlo(scn, jobs=1).cc)
+    one = path_scenario(runs=1)
+    mean = monte_carlo(one, jobs=4)
+    assert started == [2]  # one run is one chunk, run in-process
+    assert np.array_equal(mean.cc, monte_carlo(one, jobs=1).cc)
 
 
 def test_monte_carlo_mean_matches_manual_average():

@@ -6,7 +6,8 @@ consolidated; a refactor that keeps them keeps every trace, row and summary
 byte-identical. The ``run-color_flip`` and ``run-random`` hashes, the only
 cases that start from another initial coloring, were recorded from the
 node-by-node coloring sweeps. The ``gen-network`` hashes were recorded from
-the tuple-set layers that preceded the array form. A deliberate output
+the tuple-set layers that preceded the array form, and the ``sweep-tau-q``
+hashes when each of its cells still ran its own ensemble. A deliberate output
 change has to re-record them and say why.
 """
 import hashlib
@@ -47,6 +48,8 @@ CASES = [
     ("sweep-fpr", "reactive, hybrid", "true", ["sweep", "--sweep", "fpr=0:0.2:0.1"]),
     ("sweep-q-ini-comp", FAMILY, "true",
      ["sweep", "--sweep", "q=0.5:1:0.5", "--sweep", "ini_comp=1:3:2"]),
+    ("sweep-tau-q", FAMILY, "true",
+     ["sweep", "--sweep", "tau=0.1:0.5:0.2", "--sweep", "q=0.5:1:0.5"]),
 ]
 
 GOLDEN = {
@@ -102,6 +105,10 @@ GOLDEN = {
         "summary.csv": "03338c62e304f4e855fdab93e07fd34f71664579b05251ecd166ae5c6eede4a3",
         "sweep.csv": "818c30915468ac979d1cb3d2bd000df844a1c3e241a3e38f3829a583ab013454",
     },
+    "sweep-tau-q": {
+        "summary.csv": "03338c62e304f4e855fdab93e07fd34f71664579b05251ecd166ae5c6eede4a3",
+        "sweep.csv": "36c9174596456b0ec4bd4bac84e1fea0ba4bcd3d292b32e7c0d4544200a11131",
+    },
     "run-color_flip": {
         "summary.csv": "ae1af29485ea1afa3305c5946adbac6f2576a63af683d5ce23930f2c25a824b7",
         "trace_hybrid.csv": "f2c737d8b19a124787703984eaee6b0de0201459f414c018b521bdd0ae36c7cf",
@@ -148,6 +155,12 @@ def test_golden_outputs(tmp_path, case, strategies, scale, argv):
 def test_golden_run_family_with_two_jobs(tmp_path):
     # the process-pool path of monte_carlo must write the same bytes
     case, strategies, scale, argv = CASES[0]
+    assert outputs(tmp_path, strategies, scale, argv, jobs=2) == GOLDEN[case]
+
+
+def test_golden_sweep_tau_q_with_two_jobs(tmp_path):
+    # cells that differ only in tau share one ensemble of the process-pool path
+    case, strategies, scale, argv = CASES[-1]
     assert outputs(tmp_path, strategies, scale, argv, jobs=2) == GOLDEN[case]
 
 
