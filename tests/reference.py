@@ -17,7 +17,8 @@ each node seeing the colors of the neighbors ranked before it. Neighbors come
 from ``same_program_neighbors``, a slice of the graph's same-program CSR.
 
 ``ReferenceGraph`` is the communication graph of ``diversim.netmodel`` built
-computer by computer from the layers ``canonical_layer`` reads.
+computer by computer from the layers ``canonical_layer`` reads, and ``frame``
+the computer-level counts of a state read computer by computer.
 """
 from __future__ import annotations
 
@@ -267,15 +268,21 @@ class ReferenceRun:
     # --- frame ------------------------------------------------------------------
 
     def _frame(self) -> tuple[int, int, int]:
-        g = self.graph
-        cc = vc = 0
-        for c in range(g.n_computers):
-            states = self.state[int(g.comp_start[c]):int(g.comp_start[c + 1])]
-            if COMPROMISED in states:
-                cc += 1
-            elif VULNERABLE in states:
-                vc += 1
-        return cc, vc, g.n_computers - cc - vc
+        return frame(self.graph, self.state)
+
+
+def frame(graph, state) -> tuple[int, int, int]:
+    """Computers with a compromised node, computers with a vulnerable node
+    and none compromised, and the rest, read computer by computer from the
+    node-id ranges ``comp_start`` delimits."""
+    cc = vc = 0
+    for c in range(graph.n_computers):
+        states = [int(s) for s in state[int(graph.comp_start[c]):int(graph.comp_start[c + 1])]]
+        if COMPROMISED in states:
+            cc += 1
+        elif VULNERABLE in states:
+            vc += 1
+    return cc, vc, graph.n_computers - cc - vc
 
 
 # --- colorings ----------------------------------------------------------------

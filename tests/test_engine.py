@@ -1,6 +1,10 @@
 """Simulation loop: scheduling oracle, determinism, invariants, ensembles."""
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diversim import (
     AttackerSpec,
@@ -23,8 +27,9 @@ from diversim import (
 )
 from diversim import engine
 from diversim.engine import Trace, final_snapshot, init_run, resolve_graph
-from diversim.netmodel import COMPROMISED
+from diversim.netmodel import COMPROMISED, INVULNERABLE, VULNERABLE
 
+import reference
 from conftest import make_scenario
 
 
@@ -101,6 +106,32 @@ def test_frame_counts_partition_computers():
     trace = run(scn, 0)
     total = trace.cc_count + trace.vc_count + trace.ic_count
     assert (total == 3).all()
+
+
+@st.composite
+def graph_states(draw):
+    """One to three layers over up to eight users, a user belonging to any
+    non-empty subset of them (so computers may lack applications), and a
+    random state per node."""
+    n_users = draw(st.integers(1, 8))
+    n_layers = draw(st.integers(1, 3))
+    apps = [draw(st.sets(st.integers(0, n_layers - 1), min_size=1)) for _ in range(n_users)]
+    layers = [Layer.from_edges([], participants=[u for u in range(n_users) if j in apps[u]])
+              for j in range(n_layers)]
+    g = build_graph([layer for layer in layers if layer.participants.size])
+    states = st.sampled_from([VULNERABLE, COMPROMISED, INVULNERABLE])
+    state = draw(st.lists(states, min_size=g.n_nodes, max_size=g.n_nodes))
+    return g, np.asarray(state, dtype=np.int8)
+
+
+@given(graph_states())
+@settings(max_examples=150, derandomize=True, deadline=None)
+def test_frame_matches_the_computer_by_computer_counts(case):
+    g, state = case
+    rs = SimpleNamespace(graph=g, state=state, trace=Trace.zeros(g.n_computers, 2))
+    engine._record_frame(rs, 1)
+    tr = rs.trace
+    assert (tr.cc_count[1], tr.vc_count[1], tr.ic_count[1]) == reference.frame(g, state)
 
 
 def test_trace_row_zero_counts_foothold():

@@ -2,7 +2,8 @@
 invocations write.
 
 The hashes were recorded from the program before the sweep path was
-consolidated; a refactor that keeps them keeps every trace, row and summary
+consolidated, and the snapshot hashes before `run --snapshot` shared one
+graph among the members; a refactor that keeps them keeps every trace, row and summary
 byte-identical. The ``run-color_flip`` and ``run-random`` hashes, the only
 cases that start from another initial coloring, were recorded from the
 node-by-node coloring sweeps. The ``gen-network`` hashes were recorded from
@@ -125,6 +126,15 @@ GOLDEN = {
     },
 }
 
+# the per-node snapshots `run --snapshot` adds to the run-family outputs
+SNAPSHOTS = {
+    "snapshot_hybrid.csv": "8f6b2d4bcf711984cb20ef6b99d0e01b5a7bdbb8bbb845def0691b1fda64b355",
+    "snapshot_monoculture.csv": "8c1b2574a8e0cc3c26e37a516ab8decd2cc4613780e321012e8bbf910de54c6c",
+    "snapshot_proactive.csv": "d66b30bddfcb0b3a9ca2282343cd6c4ae03cbb785df63cd87bcde5610fbe38ee",
+    "snapshot_reactive.csv": "d61815bae5eb6536214b42a434f9d1d7b17bfdacaa17339c9a2036d58c95b5dd",
+    "snapshot_static.csv": "706760d771f4cd51fc58c7c68b3f56f3767b33d1008126da22966803315b1797",
+}
+
 GEN_NETWORK = {
     "layer1.edges": "be6888a209df44af37151ff713d12cb1f7bd7ba8baa0dbfde19fccbcc04388d4",
     "layer2.edges": "034c6a73849f418867e918a6161b4e6749010e826af353cf9d0328685186fab4",
@@ -162,6 +172,12 @@ def test_golden_sweep_tau_q_with_two_jobs(tmp_path):
     # cells that differ only in tau share one ensemble of the process-pool path
     case, strategies, scale, argv = CASES[-1]
     assert outputs(tmp_path, strategies, scale, argv, jobs=2) == GOLDEN[case]
+
+
+def test_golden_run_family_with_snapshots(tmp_path):
+    case, strategies, scale, argv = CASES[0]
+    got = outputs(tmp_path, strategies, scale, argv + ["--snapshot"], jobs=1)
+    assert got == {**GOLDEN[case], **SNAPSHOTS}
 
 
 @pytest.mark.parametrize("algo", ["color_flip", "random"])
