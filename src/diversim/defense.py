@@ -113,9 +113,7 @@ def detect(state: np.ndarray, fpr: float, fnr: float, rng: np.random.Generator) 
     """Flagged node ids, ascending: a compromised node is flagged with
     probability 1 - fnr, any other node with probability fpr."""
     u = rng.random(state.shape[0])
-    comp = state == COMPROMISED
-    flagged = np.where(comp, u < 1.0 - fnr, u < fpr)
-    return np.flatnonzero(flagged)
+    return np.flatnonzero(u < np.where(state == COMPROMISED, 1.0 - fnr, fpr))
 
 
 def plan(
@@ -159,12 +157,10 @@ def redeploy(
     never compromised afterwards.
     """
     if nodes.size:
+        inst = installed[nodes]
         if pool.x > 1:
             r = rng.integers(0, pool.x - 1, size=nodes.size)
-            installed[nodes] = r + (r >= installed[nodes])
-        state[nodes] = np.where(
-            vulnerable[graph.program[nodes], installed[nodes]],
-            VULNERABLE,
-            INVULNERABLE,
-        )
+            inst = r + (r >= inst)
+            installed[nodes] = inst
+        state[nodes] = np.where(vulnerable[graph.program[nodes], inst], VULNERABLE, INVULNERABLE)
     return nodes.size / graph.n_nodes

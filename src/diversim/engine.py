@@ -18,7 +18,11 @@ lateral movement find their targets from whichever side is cheaper: they
 push from the acting agents' adjacency lists, or, when those lists hold
 more entries than there are nodes and than the lists of the nodes that can
 still be hit, pull from the latter. Either way a step costs about the
-smaller of the two, not the agents' whole adjacency.
+smaller of the two, not the agents' whole adjacency. The computer-level
+frame and the OS spread read the graph's slot table (``slot_node``, one
+node per program and computer): the frame reduces the gathered states over
+programs, and the spread gathers only the computers whose OS is
+compromised.
 """
 from __future__ import annotations
 
@@ -406,10 +410,10 @@ def _attack_substep(rs: RunState, t: int) -> int:
                 newly.append(hit)
         rs.agent_phase[hosts] = PHASE_AFTER[ph]
 
-    # a compromised OS takes all of its applications down in the same step
-    spread = np.flatnonzero(
-        g.is_app & (rs.state != COMPROMISED) & (rs.state[g.os_node] == COMPROMISED)
-    )
+    # a compromised OS takes all of its applications down in the same step;
+    # the OS node padding a computer's missing slots is compromised itself
+    apps = g.slot_node[:-1, rs.state[g.slot_node[-1]] == COMPROMISED].ravel()
+    spread = apps[rs.state[apps] != COMPROMISED]
     if spread.size:
         _mark_compromised(rs, spread)
         newly.append(spread)
@@ -441,12 +445,11 @@ def _defense_substep(rs: RunState, t: int) -> float:
 
 
 def _record_frame(rs: RunState, t: int) -> None:
-    starts = rs.graph.comp_start[:-1]
-    has_comp = np.logical_or.reduceat(rs.state == COMPROMISED, starts)
-    has_vul = np.logical_or.reduceat(rs.state == VULNERABLE, starts)
+    slots = rs.state[rs.graph.slot_node]
     tr = rs.trace
-    tr.cc_count[t] = has_comp.sum()
-    tr.vc_count[t] = (~has_comp & has_vul).sum()
+    tr.cc_count[t] = np.count_nonzero((slots == COMPROMISED).any(axis=0))
+    # a computer with any node not invulnerable is compromised or vulnerable
+    tr.vc_count[t] = np.count_nonzero((slots != INVULNERABLE).any(axis=0)) - tr.cc_count[t]
     tr.ic_count[t] = tr.n_computers - tr.cc_count[t] - tr.vc_count[t]
 
 

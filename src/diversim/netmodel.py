@@ -122,7 +122,11 @@ class CommGraph:
     index), ``os_node`` (the id of the node's computer's OS node).
     ``comp_start`` delimits the contiguous node-id range of each computer;
     ``app_node[c, j]`` is computer c's layer-j application node (-1 if
-    absent) and ``os_of_computer[c]`` its OS node. Adjacency is CSR
+    absent) and ``os_of_computer[c]`` its OS node. ``slot_node`` is the
+    C-contiguous (hbar, n_computers) table whose ``[p, c]`` is computer c's
+    program-p node, or c's OS node where c lacks program p; a repeated node
+    changes no per-computer "any", so per-computer reductions run over its
+    axis 0. Adjacency is CSR
     (``indptr``/``indices``); ``sp_indptr``/``sp_indices`` restrict it to
     same-program neighbors, the only ones that matter for defective edges.
     ``edges`` and its same-program rows ``sp_edges`` list each link once,
@@ -172,6 +176,7 @@ class CommGraph:
         self.os_of_computer = self.comp_start[1:] - 1
         self.os_node = self.os_of_computer[self.computer]
         self.is_app = self.program != self.os_program
+        self.slot_node = np.ascontiguousarray(np.where(slots, node, node[:, -1:]).T)
 
         # intra-computer: every pair of occupied slots; inter-computer: a
         # layer-j link joins the layer-j slots, lower user (and node) first

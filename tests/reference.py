@@ -451,6 +451,14 @@ class ReferenceGraph:
         self.os_of_computer = np.asarray(os_of_computer, dtype=np.int64)
         self.os_node = np.asarray([os_of_computer[c] for c in computer], dtype=np.int64)
         self.is_app = np.asarray([p != self.os_program for p in program], dtype=bool)
+        # a program the computer lacks takes the computer's OS node
+        slot_node = [[] for _ in range(self.hbar)]
+        for c in range(len(users)):
+            for j in range(len(layers)):
+                a = app_node[c][j]
+                slot_node[j].append(a if a >= 0 else os_of_computer[c])
+            slot_node[-1].append(os_of_computer[c])
+        self.slot_node = np.asarray(slot_node, dtype=np.int64).reshape(self.hbar, len(users))
 
         edges = set()
         for c in range(len(users)):

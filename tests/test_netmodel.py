@@ -197,7 +197,7 @@ def raw_layers(draw):
 
 GRAPH_ARRAYS = (
     "program", "computer", "comp_start", "app_node", "os_of_computer", "os_node", "is_app",
-    "edges", "indptr", "indices", "sp_edges", "sp_indptr", "sp_indices", "degree",
+    "edges", "indptr", "indices", "sp_edges", "sp_indptr", "sp_indices", "degree", "slot_node",
 )
 
 
@@ -217,6 +217,7 @@ def test_graph_matches_the_computer_by_computer_build(network):
     for name in GRAPH_ARRAYS:
         got, ref = getattr(g, name), getattr(want, name)
         assert got.dtype == ref.dtype and np.array_equal(got, ref), name
+    assert g.slot_node.flags.c_contiguous
 
 
 # --- implementation pool and vulnerabilities ------------------------------------
