@@ -18,7 +18,7 @@ from pathlib import Path
 from . import sweeps
 from .config import ConfigError, LoadedConfig, load_scenario
 from .defense import SpecError
-from .engine import final_snapshot
+from .engine import final_snapshot, resolve_graph
 from .netmodel import NetworkError, generate_synthetic_network, write_edge_file
 from .threat import CatalogError
 
@@ -105,11 +105,13 @@ def cmd_run(args) -> int:
     out = _outdir(args.out)
     ensembles, summary = sweeps.run_family(cfg, jobs=args.jobs)
     single = len(ensembles) == 1
+    # the members of a family share one network
+    graph = resolve_graph(cfg.scenario.network) if args.snapshot else None
     for cell, mean in ensembles:
         suffix = "" if single else f"_{cell.defender.strategy.value}"
         mean.write_csv(out / f"trace{suffix}.csv")
         if args.snapshot:
-            final_snapshot(cell, 0, out / f"snapshot{suffix}.csv")
+            final_snapshot(cell, 0, out / f"snapshot{suffix}.csv", graph=graph)
     sweeps.write_summary_csv(out / "summary.csv", summary)
     logger.info("wrote %s", out / "summary.csv")
     return 0

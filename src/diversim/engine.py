@@ -555,15 +555,18 @@ def monte_carlo(
 
 def write_snapshot(rs: RunState, path: str | Path) -> None:
     """Per-node debugging snapshot: id, program, installed impl, state."""
+    rows = zip(rs.graph.program.tolist(), rs.installed.tolist(), rs.state.tolist())
     with open(path, "w") as fh:
         fh.write("id,program,impl,state\n")
-        for v in range(rs.graph.n_nodes):
-            fh.write(f"{v},{rs.graph.program[v]},{rs.installed[v]},{rs.state[v]}\n")
+        fh.writelines(f"{v},{p},{i},{s}\n" for v, (p, i, s) in enumerate(rows))
 
 
-def final_snapshot(scenario: Scenario, run_index: int, path: str | Path) -> None:
+def final_snapshot(
+    scenario: Scenario, run_index: int, path: str | Path, graph: CommGraph | None = None
+) -> None:
     """Re-execute one run and write its final state snapshot."""
-    graph = resolve_graph(scenario.network)
+    if graph is None:
+        graph = resolve_graph(scenario.network)
     holder: dict[str, RunState] = {}
 
     def keep(rs: RunState, t: int) -> None:

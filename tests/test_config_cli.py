@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from diversim import ConfigError, InitialAlgo, Strategy, load_scenario, sweeps
+from diversim import ConfigError, InitialAlgo, Strategy, engine, load_scenario, sweeps
 from diversim.cli import main
 from diversim.engine import NetworkFiles, SyntheticNetwork, resolve_graph
 
@@ -367,6 +367,20 @@ def test_run_strategy_family_with_baseline(tmp_path):
         assert (out / name).exists()
     summary = (out / "summary.csv").read_text()
     assert ",asd," in summary
+
+
+def test_run_snapshot_builds_the_network_once(tmp_path, monkeypatch):
+    calls = []
+    build_graph = engine.build_graph
+    monkeypatch.setattr(engine, "build_graph", lambda *a: calls.append(a) or build_graph(*a))
+    extra = "  fpr: 0.1\n  fnr: 0.1\n"
+    cfgp = write_config(tmp_path, strategy="[static, reactive, monoculture]", extra=extra)
+    assert main(["run", "--config", str(cfgp), "--out", str(tmp_path / "a")]) == 0
+    # one ensemble per member
+    assert len(calls) == 3
+    assert main(["run", "--config", str(cfgp), "--out", str(tmp_path / "b"), "--snapshot"]) == 0
+    # and one graph for all of the snapshots
+    assert len(calls) == 3 + 4
 
 
 # --- sweep -----------------------------------------------------------------------------
