@@ -113,6 +113,9 @@ def _network(sec: dict):
     _reject_unknown(sec, "network")
     if (syn is None) == (files is None):
         raise ConfigError("network needs exactly one of 'synthetic' or 'files'")
+    name, body = ("synthetic", syn) if files is None else ("files", files)
+    if not isinstance(body, dict):
+        raise ConfigError(f"network.{name} must be a mapping")
     if syn is not None:
         syn = dict(syn)
         try:
@@ -129,11 +132,13 @@ def _network(sec: dict):
         return net, 3
     files = dict(files)
     layers = files.pop("layers", None)
-    if not isinstance(layers, list) or not layers:
+    if not isinstance(layers, list) or not layers or not all(isinstance(p, str) for p in layers):
         raise ConfigError("network.files.layers must be a non-empty list of paths")
     users = files.pop("users", None)
+    if users is not None and not isinstance(users, str):
+        raise ConfigError("network.files.users must be a path")
     _reject_unknown(files, "network.files")
-    return NetworkFiles(tuple(str(p) for p in layers), None if users is None else str(users)), len(layers) + 1
+    return NetworkFiles(tuple(layers), users), len(layers) + 1
 
 
 def _defender_specs(sec: dict, tau: float, algo: InitialAlgo) -> tuple[DefenderSpec, ...]:

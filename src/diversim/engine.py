@@ -439,7 +439,6 @@ def _defense_substep(rs: RunState, t: int) -> float:
             rs.graph, rs.pool, rs.vulnerable, rs.installed, rs.state, nodes, rs.rng_redeploy
         )
         rs.agent_alive[nodes] = False
-        rs.quiet_steps = 0
         return oc
     return 0.0
 

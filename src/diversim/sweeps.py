@@ -4,10 +4,12 @@
 (the family times the Cartesian grid of the swept keys) make one pass:
 expand every cell, so a bad grid fails before anything runs; run each
 distinct simulation once (``_run_cells``); reduce the mean traces to
-``sweep.csv`` and ``summary.csv`` rows. The metrics that compare ensembles
-are defined here: asd against the monoculture twin, vt along a q sweep and
-aec along a budget sweep; the per-trace reductions live in ``metrics``. Cells
-share the master seed, so all random substreams are coupled across cells.
+``sweep.csv`` and ``summary.csv`` rows. One constructor, ``cell_at``,
+builds every swept cell, so the rule of each key is stated once. The
+metrics that compare ensembles are defined here: asd against the
+monoculture twin, vt along a q sweep and aec along a budget sweep; the
+per-trace reductions live in ``metrics``. Cells share the master seed, so
+all random substreams are coupled across cells.
 """
 from __future__ import annotations
 
@@ -64,38 +66,41 @@ def _clamp_budget(attacker: AttackerSpec, pool: ImplementationPool, q: float) ->
 def split_budget(total: int, hbar: int) -> tuple[int, int]:
     """Split a total exploit budget evenly across the programs, remainder to
     lower program indices; returns (m3, m4) with the OS share last."""
-    base, rem = divmod(int(total), hbar)
-    shares = [base + (1 if p < rem else 0) for p in range(hbar)]
-    return shares[-1], sum(shares[:-1])
+    m3 = int(total) // hbar
+    return m3, int(total) - m3
 
 
-def budget_cells(scenario: Scenario, budgets: Sequence[int]) -> list[Scenario]:
-    cells = []
-    for total in budgets:
-        m3, m4 = split_budget(total, scenario.pool.hbar)
-        att = _clamp_budget(replace(scenario.attacker, m3=m3, m4=m4), scenario.pool, scenario.q)
-        cells.append(replace(scenario, attacker=att))
-    return cells
+def cell_at(
+    base: Scenario, key: str, value, scale_with_q: bool = True, q_fraction: float = 0.5
+) -> Scenario:
+    """The cell of ``base`` with one sweep key set to ``value``.
 
-
-def q_cells(
-    scenario: Scenario,
-    q_grid: Sequence[float],
-    scale_attacker: bool = True,
-    fraction: float = 0.5,
-) -> list[Scenario]:
-    """One cell per software quality; by default the attacker scales along,
-    holding round(fraction * x * q) exploits per program."""
-    cells = []
-    for q in q_grid:
-        att = scenario.attacker
-        if scale_attacker:
-            per = int(round(fraction * scenario.pool.x * q))
-            att = replace(att, m3=per, m4=(scenario.pool.hbar - 1) * per)
-        else:
-            att = _clamp_budget(att, scenario.pool, float(q))
-        cells.append(replace(scenario, q=float(q), attacker=att))
-    return cells
+    q by default scales the attacker along, holding round(q_fraction * x * q)
+    exploits per program; budget is split by ``split_budget``; x leaves a
+    monoculture member at its single implementation; tau and the other
+    defender knobs move only a defender that has them (``defense.KNOBS``).
+    The attacker is then clamped to the cell's vulnerable supply, so a grid
+    budget beyond it saturates instead of failing.
+    """
+    pool, q, att, defender = base.pool, base.q, base.attacker, base.defender
+    if key == "q":
+        q = value
+        if scale_with_q:
+            per = int(round(q_fraction * pool.x * q))
+            att = replace(att, m3=per, m4=(pool.hbar - 1) * per)
+    elif key == "budget":
+        m3, m4 = split_budget(value, pool.hbar)
+        att = replace(att, m3=m3, m4=m4)
+    elif key == "x":
+        if defender.strategy is not Strategy.MONOCULTURE:
+            pool = replace(pool, x=value)
+    elif key in ("m3", "m4"):
+        att = replace(att, **{key: value})
+    elif key == "ini_comp":
+        att = replace(att, initial_compromise_size=value)
+    elif getattr(defender, key) is not None:
+        defender = replace(defender, **{key: value})
+    return replace(base, pool=pool, q=q, attacker=_clamp_budget(att, pool, q), defender=defender)
 
 
 def run_cell(scenario: Scenario, jobs: int = 1) -> MeanTrace:
@@ -123,51 +128,19 @@ def parse_sweep(text: str) -> tuple[str, np.ndarray]:
     return key, grid
 
 
-def _key_cells(cfg: LoadedConfig, base: Scenario, key: str, grid: np.ndarray) -> list[tuple]:
-    """(value, cell) pairs setting one swept key of ``base`` along its grid."""
-    if key == "q":
-        qs = [float(v) for v in grid]
-        cells = q_cells(base, qs, scale_attacker=cfg.scale_attacker_with_q,
-                        fraction=cfg.attacker_q_fraction)
-        return list(zip(qs, cells))
-    if key == "budget":
-        budgets = [int(v) for v in grid]
-        return list(zip(budgets, budget_cells(base, budgets)))
-    out = []
-    for v in grid:
-        value = int(v) if key in _INT_KEYS else float(v)
-        att = base.attacker
-        if key == "x":
-            if base.defender.strategy is Strategy.MONOCULTURE:
-                cell = base  # the undiversified twin keeps its single implementation
-            else:
-                pool = replace(base.pool, x=value)
-                cell = replace(base, pool=pool, attacker=_clamp_budget(att, pool, base.q))
-        elif key in ("m3", "m4"):
-            att = _clamp_budget(replace(att, **{key: value}), base.pool, base.q)
-            cell = replace(base, attacker=att)
-        elif key == "ini_comp":
-            cell = replace(base, attacker=replace(att, initial_compromise_size=value))
-        elif getattr(base.defender, key) is None:
-            cell = base  # a defender without this knob (defense.KNOBS) keeps its one cell
-        else:
-            cell = replace(base, defender=replace(base.defender, **{key: value}))
-        out.append((value, cell))
-    return out
-
-
 def _expand(
     cfg: LoadedConfig, base: Scenario, swept: Sequence[tuple[str, np.ndarray]]
 ) -> list[tuple]:
     """(value, cell) pairs over the Cartesian product of the swept grids;
     the values of several keys are joined by ';'."""
-    (key, grid), *rest = swept
-    pairs = _key_cells(cfg, base, key, grid)
-    for key, grid in rest:
+    pairs = [(None, base)]
+    for key, grid in swept:
+        values = [int(v) if key in _INT_KEYS else float(v) for v in grid]
         pairs = [
-            (f"{v};{v2}", c2)
-            for v, cell in pairs
-            for v2, c2 in _key_cells(cfg, cell, key, grid)
+            (value if joined is None else f"{joined};{value}",
+             cell_at(cell, key, value, cfg.scale_attacker_with_q, cfg.attacker_q_fraction))
+            for joined, cell in pairs
+            for value in values
         ]
     return pairs
 
@@ -314,32 +287,6 @@ def _aec_rows(cfg: LoadedConfig, crossings: dict) -> list[tuple]:
 
 # --- CSV output ---------------------------------------------------------------
 
-SWEEP_COLUMNS = (
-    "strategy",
-    "initial_algo",
-    "hbar",
-    "x",
-    "q",
-    "m3",
-    "m4",
-    "ini_comp",
-    "eta1",
-    "eta2",
-    "fpr",
-    "fnr",
-    "tau",
-    "t_max",
-    "runs",
-    "seed",
-    "swept_key",
-    "swept_value",
-    "awd",
-    "aoc",
-    "tts",
-    "tts_censored",
-)
-
-
 def _fmt(value) -> str:
     if value is None:
         return ""
@@ -379,11 +326,12 @@ def cell_row(scenario: Scenario, swept_key: str, swept_value, trace: MeanTrace, 
     }
 
 
-def write_sweep_csv(path: str | Path, rows: Iterable[dict]) -> None:
+def write_sweep_csv(path: str | Path, rows: Sequence[dict]) -> None:
+    """``cell_row`` dicts, at least one; the header is their keys."""
     with open(path, "w") as fh:
-        fh.write(",".join(SWEEP_COLUMNS) + "\n")
+        fh.write(",".join(rows[0]) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(row.get(c)) for c in SWEEP_COLUMNS) + "\n")
+            fh.write(",".join(_fmt(v) for v in row.values()) + "\n")
 
 
 def write_summary_csv(path: str | Path, rows: Iterable[tuple]) -> None:

@@ -441,7 +441,7 @@ def test_quality_tolerance_reference_cell():
     qgrid = np.arange(0.0, 1.0001, 0.1)
     tolerated = {}
     for spec in reference_defenders():
-        cells = sweeps.q_cells(sweeps.variant(base, spec), qgrid)
+        cells = [sweeps.cell_at(sweeps.variant(base, spec), "q", float(q)) for q in qgrid]
         curve = np.array([awd(sweeps.run_cell(c, jobs=JOBS)) for c in cells])
         best = 0.0
         for qv, peak in zip(qgrid, curve):

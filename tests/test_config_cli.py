@@ -88,6 +88,29 @@ def test_network_source_is_exclusive(tmp_path):
         load_scenario(path)
 
 
+@pytest.mark.parametrize("network", [
+    "synthetic: 5",
+    "files: 5",
+    "synthetic: [1, 2]",
+    "files: {layers: [l1.edges], users: [1]}",
+    "files: {layers: [l1.edges], users: true}",
+    "files: {layers: [l1.edges, 3]}",
+])
+def test_malformed_network_section_exits_two(tmp_path, capsys, monkeypatch, network):
+    # a path that is not a string is rejected, never coerced to a file name
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "l1.edges").write_text("0 1\n1 2\n")
+    path = tmp_path / "scn.yaml"
+    path.write_text(
+        f"network:\n  {network}\n"
+        "diversity: {x: 2}\n"
+        "attacker: {m3: 1, m4: 1}\n"
+        "defender: {strategy: static}\n"
+    )
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "network." in capsys.readouterr().err
+
+
 def test_strategy_list_with_shared_knobs(tmp_path):
     extra = (
         "  eta1: 0.5\n"

@@ -1,6 +1,10 @@
 """Metric reductions and sweep helpers, mostly on synthetic traces."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diversim import (
     AttackerSpec,
@@ -20,6 +24,7 @@ from diversim import (
 )
 from diversim import sweeps
 from diversim.netmodel import COMPROMISED
+from diversim.threat import build_exploit_catalog
 
 from conftest import make_scenario
 
@@ -106,23 +111,66 @@ def small_base(defender=None, x=4):
     )
 
 
-def test_budget_cells_clamp_to_supply():
+def test_cell_at_budget_clamps_to_supply():
     base = small_base()
-    cells = sweeps.budget_cells(base, [0, 4, 40])
+    cells = [sweeps.cell_at(base, "budget", total) for total in (0, 4, 40)]
     assert (cells[0].attacker.m3, cells[0].attacker.m4) == (0, 0)
     assert (cells[1].attacker.m3, cells[1].attacker.m4) == (2, 2)
     # beyond the supply the budget saturates at x vulnerable impls per program
     assert (cells[2].attacker.m3, cells[2].attacker.m4) == (4, 4)
 
 
-def test_q_cells_scale_attacker():
+def test_cell_at_q_scales_attacker():
     base = small_base()
-    cells = sweeps.q_cells(base, [0.0, 0.5, 1.0])
+    cells = [sweeps.cell_at(base, "q", q) for q in (0.0, 0.5, 1.0)]
     assert [(c.attacker.m3, c.attacker.m4) for c in cells] == [(0, 0), (1, 1), (2, 2)]
     assert [c.q for c in cells] == [0.0, 0.5, 1.0]
-    fixed = sweeps.q_cells(base, [0.25, 1.0], scale_attacker=False)
+    fixed = [sweeps.cell_at(base, "q", q, scale_with_q=False) for q in (0.25, 1.0)]
     assert (fixed[0].attacker.m3, fixed[0].attacker.m4) == (1, 1)  # clamped at q=0.25
     assert (fixed[1].attacker.m3, fixed[1].attacker.m4) == (2, 2)
+
+
+def test_cell_at_moves_one_group_of_fields():
+    base = small_base()
+
+    def swept(cell):
+        return cell.pool, cell.q, cell.attacker, cell.defender
+
+    assert sweeps.cell_at(base, "m4", 9).attacker == AttackerSpec(2, 4, 1)  # clamped to x
+    assert sweeps.cell_at(base, "ini_comp", 3).attacker == AttackerSpec(2, 2, 3)
+    assert swept(sweeps.cell_at(base, "x", 2)) == swept(replace(base, pool=ImplementationPool(2, 2)))
+    assert sweeps.cell_at(base, "tau", 0.2).defender.tau == 0.2
+    # a knob the static defender lacks, and x of the monoculture twin, leave the cell as it is
+    assert swept(sweeps.cell_at(base, "fpr", 0.1)) == swept(base)
+    mono = sweeps.monoculture_baseline(base)
+    assert swept(sweeps.cell_at(mono, "x", 3)) == swept(mono)
+
+
+def test_split_budget_is_the_per_program_even_split():
+    for hbar in range(2, 9):
+        pool = ImplementationPool(hbar=hbar, x=40)
+        vulnerable = np.ones((hbar, pool.x), dtype=bool)
+        for total in range(40):
+            base, rem = divmod(total, hbar)
+            shares = [base + (1 if p < rem else 0) for p in range(hbar)]
+            m3, m4 = sweeps.split_budget(total, hbar)
+            assert (m3, m4) == (shares[-1], sum(shares[:-1]))
+            privesc, lateral = build_exploit_catalog(
+                pool, vulnerable, m3, m4, np.random.default_rng(0)
+            )
+            assert privesc.sum() == m3
+            assert lateral.sum(axis=1).tolist() == shares[:-1] + [0]
+
+
+@given(st.integers(1, 40), st.integers(2, 8), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_scaled_q_cell_is_never_clamped(x, hbar, q, q_fraction):
+    graph = build_graph([Layer.from_edges([(0, 1)])] * (hbar - 1))
+    base = make_scenario(graph, pool=ImplementationPool(hbar=hbar, x=x),
+                         attacker=AttackerSpec(m3=0, m4=0, initial_compromise_size=1))
+    cell = sweeps.cell_at(base, "q", q, q_fraction=q_fraction)
+    per = int(round(q_fraction * x * q))
+    assert (cell.q, cell.attacker.m3, cell.attacker.m4) == (q, per, (hbar - 1) * per)
 
 
 def test_monoculture_baseline_shrinks_pool_and_budget():
@@ -154,10 +202,10 @@ def test_cell_row_and_csv(tmp_path):
     out = tmp_path / "sweep.csv"
     sweeps.write_sweep_csv(out, [row])
     lines = out.read_text().strip().splitlines()
-    assert lines[0].split(",") == list(sweeps.SWEEP_COLUMNS)
+    assert lines[0].split(",") == list(row)
     assert len(lines) == 2
     # unset knobs serialize as empty fields
-    cols = dict(zip(sweeps.SWEEP_COLUMNS, lines[1].split(",")))
+    cols = dict(zip(row, lines[1].split(",")))
     assert cols["eta1"] == "" and cols["fpr"] == ""
     assert cols["tts_censored"] in ("true", "false")
 
