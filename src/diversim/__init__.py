@@ -34,8 +34,8 @@ from .netmodel import (
     build_graph,
     generate_synthetic_network,
     load_network_files,
-    read_edge_file,
-    write_edge_file,
+    read_id_file,
+    write_id_file,
 )
 from .config import ConfigError, LoadedConfig, load_scenario
 from .metrics import AsdResult, aoc, asd, awd, first_crossing, tts
@@ -89,9 +89,9 @@ __all__ = [
     "mean_of",
     "monte_carlo",
     "random_coloring",
-    "read_edge_file",
+    "read_id_file",
     "run",
     "tts",
-    "write_edge_file",
+    "write_id_file",
     "__version__",
 ]

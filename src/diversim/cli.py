@@ -4,8 +4,8 @@ Three subcommands: ``gen-network`` emits synthetic two-layer edge lists,
 ``run`` executes one scenario file and writes the mean trace plus a metric
 summary, ``sweep`` executes a parameter grid and writes per-cell rows plus
 derived metric rows. Everything lands under ``--out``; input files are never
-touched. Exit codes: 0 success, 2 bad configuration (scenario file,
-options or sweep grid), 3 runtime failure.
+touched. Exit codes: 0 success, 2 rejected input (the scenario file, the
+network files it names, options or a sweep grid), 3 runtime failure.
 """
 from __future__ import annotations
 
@@ -15,12 +15,12 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from . import sweeps
 from .config import ConfigError, LoadedConfig, load_scenario
-from .defense import SpecError
 from .engine import final_snapshot, resolve_graph
-from .netmodel import NetworkError, generate_synthetic_network, write_edge_file
-from .threat import CatalogError
+from .netmodel import generate_synthetic_network, write_id_file
 
 logger = logging.getLogger(__name__)
 
@@ -45,24 +45,22 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--seed", type=int, default=0)
     gen.set_defaults(func=cmd_gen_network)
 
-    run = sub.add_parser("run", help="run one scenario and write trace + summary")
-    run.add_argument("--config", required=True, help="scenario file")
-    run.add_argument("--out", required=True, help="output directory")
-    run.add_argument("--seed", type=int, default=None, help="override run.seed")
-    run.add_argument("--runs", type=int, default=None, help="override run.runs")
-    run.add_argument("--jobs", type=int, default=1, help="worker processes")
+    # the options run and sweep share
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", required=True, help="scenario file")
+    common.add_argument("--out", required=True, help="output directory")
+    common.add_argument("--seed", type=int, default=None, help="override run.seed")
+    common.add_argument("--runs", type=int, default=None, help="override run.runs")
+    common.add_argument("--jobs", type=int, default=1, help="worker processes")
+
+    run = sub.add_parser("run", parents=[common], help="run one scenario and write trace + summary")
     run.add_argument("--snapshot", action="store_true",
                      help="also write the final node states of run 0")
     run.set_defaults(func=cmd_run)
 
-    swp = sub.add_parser("sweep", help="run a parameter grid and write cell rows")
-    swp.add_argument("--config", required=True, help="scenario file")
-    swp.add_argument("--out", required=True, help="output directory")
+    swp = sub.add_parser("sweep", parents=[common], help="run a parameter grid and write cell rows")
     swp.add_argument("--sweep", action="append", required=True, metavar="KEY=START:STOP:STEP",
                      help=f"grid over one key ({', '.join(sweeps.SWEEP_KEYS)}); repeatable")
-    swp.add_argument("--seed", type=int, default=None, help="override run.seed")
-    swp.add_argument("--runs", type=int, default=None, help="override run.runs")
-    swp.add_argument("--jobs", type=int, default=1, help="worker processes")
     swp.set_defaults(func=cmd_sweep)
     return parser
 
@@ -78,11 +76,10 @@ def cmd_gen_network(args) -> int:
     layer1, layer2 = generate_synthetic_network(
         args.n1, args.n2, args.overlap, args.attachment, args.seed
     )
-    write_edge_file(out / "layer1.edges", layer1.edges, comment="synthetic layer 1")
-    write_edge_file(out / "layer2.edges", layer2.edges, comment="synthetic layer 2")
-    users = sorted(set(layer1.participants.tolist()) | set(layer2.participants.tolist()))
-    with open(out / "users.txt", "w") as fh:
-        fh.write("\n".join(str(u) for u in users) + "\n")
+    write_id_file(out / "layer1.edges", layer1.edges, comment="synthetic layer 1")
+    write_id_file(out / "layer2.edges", layer2.edges, comment="synthetic layer 2")
+    users = np.union1d(layer1.participants, layer2.participants)
+    write_id_file(out / "users.txt", users)
     print(f"layer1: {len(layer1.participants)} users, {len(layer1.edges)} edges")
     print(f"layer2: {len(layer2.participants)} users, {len(layer2.edges)} edges")
     print(f"union: {len(users)} users")
@@ -94,10 +91,7 @@ def _load(args) -> LoadedConfig:
         raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     cfg = load_scenario(args.config)
     overrides = {k: v for k, v in (("seed", args.seed), ("runs", args.runs)) if v is not None}
-    try:
-        return replace(cfg, scenario=replace(cfg.scenario, **overrides))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return replace(cfg, scenario=replace(cfg.scenario, **overrides))
 
 
 def cmd_run(args) -> int:
@@ -137,7 +131,7 @@ def main(argv=None) -> int:
     )
     try:
         return args.func(args)
-    except (ConfigError, SpecError, CatalogError, NetworkError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -26,16 +26,12 @@ from pathlib import Path
 
 import yaml
 
-from .defense import KNOB_NAMES, KNOBS, DefenderSpec, InitialAlgo, SpecError, Strategy
+from .defense import KNOB_NAMES, KNOBS, DefenderSpec, InitialAlgo, Strategy
 from .engine import NetworkFiles, Scenario, SyntheticNetwork
-from .netmodel import ImplementationPool, NetworkError
-from .threat import AttackerSpec, CatalogError
+from .netmodel import ConfigError, ImplementationPool
+from .threat import AttackerSpec
 
 logger = logging.getLogger(__name__)
-
-
-class ConfigError(ValueError):
-    """Scenario file cannot be parsed or violates a validation rule."""
 
 
 _STRATEGY_ALIASES = {
@@ -102,6 +98,11 @@ def _take(sec: dict, name: str, kind, default=None, required: bool = False):
         raise ConfigError(f"key {name!r} has invalid value {value!r}") from None
 
 
+def _present(sec: dict, kinds: dict) -> dict:
+    """The keys of ``kinds`` that ``sec`` sets, parsed; dataclasses default the rest."""
+    return {k: _take(sec, k, kind) for k, kind in kinds.items() if k in sec}
+
+
 def _reject_unknown(sec: dict, where: str) -> None:
     if sec:
         raise ConfigError(f"unknown key {sorted(sec)[0]!r} in section {where!r}")
@@ -118,16 +119,13 @@ def _network(sec: dict):
         raise ConfigError(f"network.{name} must be a mapping")
     if syn is not None:
         syn = dict(syn)
-        try:
-            net = SyntheticNetwork(
-                n_layer1=_take(syn, "n_layer1", _integer, required=True),
-                n_layer2=_take(syn, "n_layer2", _integer, required=True),
-                overlap_fraction=_take(syn, "overlap_fraction", _real, required=True),
-                attachment_degree=_take(syn, "attachment_degree", _integer, default=3),
-                seed=_take(syn, "seed", _integer, default=0),
-            )
-        except NetworkError as exc:
-            raise ConfigError(str(exc)) from None
+        net = SyntheticNetwork(
+            n_layer1=_take(syn, "n_layer1", _integer, required=True),
+            n_layer2=_take(syn, "n_layer2", _integer, required=True),
+            overlap_fraction=_take(syn, "overlap_fraction", _real, required=True),
+            attachment_degree=_take(syn, "attachment_degree", _integer, default=3),
+            seed=_take(syn, "seed", _integer, default=0),
+        )
         _reject_unknown(syn, "network.synthetic")
         return net, 3
     files = dict(files)
@@ -141,7 +139,7 @@ def _network(sec: dict):
     return NetworkFiles(tuple(layers), users), len(layers) + 1
 
 
-def _defender_specs(sec: dict, tau: float, algo: InitialAlgo) -> tuple[DefenderSpec, ...]:
+def _defender_specs(sec: dict, shared: dict) -> tuple[DefenderSpec, ...]:
     names = sec.pop("strategy", None)
     if names is None:
         raise ConfigError("defender.strategy is required")
@@ -170,13 +168,7 @@ def _defender_specs(sec: dict, tau: float, algo: InitialAlgo) -> tuple[DefenderS
         absent = [k for k in wanted if k not in knobs]
         if absent:
             raise ConfigError(f"{strategy.value} requires {absent[0]}")
-        try:
-            spec = DefenderSpec(
-                strategy=strategy, tau=tau, initial_algo=algo, **{k: knobs[k] for k in wanted}
-            )
-        except SpecError as exc:
-            raise ConfigError(str(exc)) from None
-        specs.append(spec)
+        specs.append(DefenderSpec(strategy=strategy, **shared, **{k: knobs[k] for k in wanted}))
     if hybrid_union and not any(s.strategy is Strategy.HYBRID for s in specs):
         raise ConfigError("hybrid_union needs a hybrid member in defender.strategy")
     return tuple(specs)
@@ -201,22 +193,21 @@ def load_scenario(path: str | Path) -> LoadedConfig:
     declared_hbar = _take(div, "hbar", _integer)
     if declared_hbar is not None and declared_hbar != hbar:
         raise ConfigError(f"diversity.hbar={declared_hbar} but the network implies {hbar}")
-    algo_name = _take(div, "initial_algo", str, default="degree_priority")
+    algo_name = _take(div, "initial_algo", str)
     _reject_unknown(div, "diversity")
-    try:
-        algo = InitialAlgo(algo_name)
-    except ValueError:
-        raise ConfigError(f"unknown initial_algo {algo_name!r}") from None
+    shared = {}  # DefenderSpec fields of every member that the file sets
+    if algo_name is not None:
+        try:
+            shared["initial_algo"] = InitialAlgo(algo_name)
+        except ValueError:
+            raise ConfigError(f"unknown initial_algo {algo_name!r}") from None
 
     att = _section(doc, "attacker")
-    try:
-        attacker = AttackerSpec(
-            m3=_take(att, "m3", _integer, required=True),
-            m4=_take(att, "m4", _integer, required=True),
-            initial_compromise_size=_take(att, "ini_comp", _integer, default=0),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    attacker = AttackerSpec(
+        m3=_take(att, "m3", _integer, required=True),
+        m4=_take(att, "m4", _integer, required=True),
+        initial_compromise_size=_take(att, "ini_comp", _integer, default=0),
+    )
     scale_q = _take(att, "scale_with_q", _boolean, default=True)
     fraction = _take(att, "q_fraction", _real, default=0.5)
     if not 0.0 <= fraction <= 1.0:
@@ -224,14 +215,12 @@ def load_scenario(path: str | Path) -> LoadedConfig:
     _reject_unknown(att, "attacker")
 
     dfn = _section(doc, "defender")
-    tau = _take(dfn, "tau", _real, default=1.0 / 3.0)
-    defenders = _defender_specs(dfn, tau, algo)
+    shared.update(_present(dfn, {"tau": _real}))
+    defenders = _defender_specs(dfn, shared)
 
     runsec = _section(doc, "run", required=False)
-    t_max = _take(runsec, "t_max", _integer, default=500)
-    runs = _take(runsec, "runs", _integer, default=100)
-    seed = _take(runsec, "seed", _integer, default=0)
-    defender_first = _take(runsec, "defender_first", _boolean, default=True)
+    run = _present(runsec, {"t_max": _integer, "runs": _integer, "seed": _integer,
+                            "defender_first": _boolean})
     _reject_unknown(runsec, "run")
 
     # a monoculture defender would force x=1 on the base; sweeps.variant derives
@@ -239,21 +228,14 @@ def load_scenario(path: str | Path) -> LoadedConfig:
     base_defender = next(
         (d for d in defenders if d.strategy is not Strategy.MONOCULTURE), defenders[0]
     )
-    try:
-        pool = ImplementationPool(hbar, x)
-        scenario = Scenario(
-            network=network,
-            pool=pool,
-            q=q,
-            attacker=attacker,
-            defender=base_defender,
-            t_max=t_max,
-            runs=runs,
-            seed=seed,
-            defender_first=defender_first,
-        )
-    except (NetworkError, CatalogError, SpecError, ValueError) as exc:
-        raise ConfigError(str(exc)) from None
+    scenario = Scenario(
+        network=network,
+        pool=ImplementationPool(hbar, x),
+        q=q,
+        attacker=attacker,
+        defender=base_defender,
+        **run,
+    )
     unknown = set(doc) - {"network", "diversity", "attacker", "defender", "run"}
     if unknown:
         raise ConfigError(f"unknown section {sorted(unknown)[0]!r}")

@@ -30,6 +30,7 @@ from .netmodel import (
     INVULNERABLE,
     VULNERABLE,
     CommGraph,
+    ConfigError,
     ImplementationPool,
 )
 
@@ -50,7 +51,7 @@ class InitialAlgo(Enum):
     DEGREE_PRIORITY = "degree_priority"
 
 
-class SpecError(ValueError):
+class SpecError(ConfigError):
     """Strategy and parameter combination violates ``KNOBS`` or a knob range."""
 
 

@@ -42,6 +42,7 @@ from .netmodel import (
     INVULNERABLE,
     VULNERABLE,
     CommGraph,
+    ConfigError,
     ImplementationPool,
     assign_vulnerabilities,
     build_graph,
@@ -131,13 +132,13 @@ class Scenario:
 
     def __post_init__(self) -> None:
         if self.t_max < 0:
-            raise ValueError("t_max must be >= 0")
+            raise ConfigError("t_max must be >= 0")
         if self.runs < 1:
-            raise ValueError("runs must be >= 1")
+            raise ConfigError("runs must be >= 1")
         if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+            raise ConfigError("seed must be >= 0")
         if not 0.0 <= self.q <= 1.0:
-            raise ValueError("q outside [0, 1]")
+            raise ConfigError("q outside [0, 1]")
         if self.defender.strategy is Strategy.MONOCULTURE and self.pool.x != 1:
             raise _defense_mod.SpecError("monoculture requires a single implementation (x=1)")
         max_m3, max_m4 = max_catalog(self.pool, self.q)

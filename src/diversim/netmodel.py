@@ -38,8 +38,13 @@ COMPROMISED = 1
 INVULNERABLE = 2
 
 
-class NetworkError(ValueError):
-    """Malformed layers, users, or edge-list files."""
+class ConfigError(ValueError):
+    """Rejected input: a scenario file, the network files it names, an
+    option or a sweep grid. The command line exits 2 on any subclass."""
+
+
+class NetworkError(ConfigError):
+    """Malformed layers, users, or id files."""
 
 
 @dataclass(frozen=True)
@@ -311,66 +316,52 @@ def generate_synthetic_network(
     return layer1, layer2
 
 
-# --- edge-list files ----------------------------------------------------------
+# --- id files -------------------------------------------------------------------
 
-def read_edge_file(path: str | Path) -> list[tuple[int, int]]:
-    """Parse an edge-list file: one edge per line, two whitespace-separated
-    non-negative integer user ids; lines starting with '#' are comments."""
-    edges = []
-    with open(path) as fh:
+def read_id_file(path: str | Path, width: int) -> np.ndarray:
+    """Parse an id file into an (n, width) int64 array: each line holds
+    ``width`` whitespace-separated user ids (two for an edge list, one for a
+    users file), each a non-negative integer below 2**63; blank lines and
+    lines starting with '#' are skipped."""
+    rows = []
+    try:
+        fh = open(path)
+    except FileNotFoundError:
+        raise NetworkError(f"network file not found: {path}") from None
+    with fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
             parts = line.split()
-            if len(parts) != 2:
-                raise NetworkError(f"{path}:{lineno}: expected two ids, got {line!r}")
+            if len(parts) != width:
+                raise NetworkError(f"{path}:{lineno}: expected {width} ids, got {line!r}")
             try:
-                u, w = int(parts[0]), int(parts[1])
+                ids = [int(p) for p in parts]
             except ValueError:
                 raise NetworkError(f"{path}:{lineno}: non-integer id in {line!r}") from None
-            if u < 0 or w < 0:
+            if min(ids) < 0:
                 raise NetworkError(f"{path}:{lineno}: negative user id")
-            if max(u, w) >= 2**63:
+            if max(ids) >= 2**63:
                 raise NetworkError(f"{path}:{lineno}: user id does not fit in int64")
-            edges.append((u, w))
-    return edges
+            rows.append(ids)
+    return np.array(rows, dtype=np.int64).reshape(-1, width)
 
 
-def write_edge_file(path: str | Path, edges: Iterable[tuple[int, int]], comment: str | None = None) -> None:
-    with open(path, "w") as fh:
-        if comment:
-            fh.write(f"# {comment}\n")
-        for u, w in edges:
-            fh.write(f"{u} {w}\n")
-
-
-def read_users_file(path: str | Path) -> frozenset[int]:
-    """One user id per line; '#' comments allowed."""
-    users = set()
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                u = int(line)
-            except ValueError:
-                raise NetworkError(f"{path}:{lineno}: non-integer user id {line!r}") from None
-            if u >= 2**63:
-                raise NetworkError(f"{path}:{lineno}: user id does not fit in int64")
-            users.add(u)
-    return frozenset(users)
+def write_id_file(path: str | Path, rows, comment: str | None = None) -> None:
+    """Write ``rows`` (ids, or sequences of ids) one per line in the format
+    ``read_id_file`` reads, after an optional '#' comment line."""
+    np.savetxt(path, np.asarray(rows, dtype=np.int64), fmt="%d", header=comment or "")
 
 
 def load_network_files(
     layer_paths: Sequence[str | Path],
     users_path: str | Path | None = None,
-) -> tuple[tuple[Layer, ...], frozenset[int]]:
-    """Load layers from edge-list files; the user set is the union of all ids
-    plus the optional users file."""
-    layers = tuple(Layer.from_edges(read_edge_file(p)) for p in layer_paths)
-    users = set().union(*(l.participants.tolist() for l in layers))
+) -> tuple[tuple[Layer, ...], np.ndarray]:
+    """Load layers from edge-list files; the users are the sorted union of
+    all ids and the optional users file."""
+    layers = tuple(Layer.from_edges(read_id_file(p, 2)) for p in layer_paths)
+    ids = [l.participants for l in layers]
     if users_path is not None:
-        users |= read_users_file(users_path)
-    return layers, frozenset(users)
+        ids.append(read_id_file(users_path, 1).ravel())
+    return layers, np.unique(np.concatenate(ids))

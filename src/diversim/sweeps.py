@@ -201,10 +201,7 @@ def sweep(
     specs = list(cfg.defenders)
     if single in ("tau", "budget") and not any(s.strategy is Strategy.MONOCULTURE for s in specs):
         specs.append(monoculture_baseline(cfg.scenario).defender)
-    try:
-        members = [(spec, _expand(cfg, variant(cfg.scenario, spec), swept)) for spec in specs]
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    members = [(spec, _expand(cfg, variant(cfg.scenario, spec), swept)) for spec in specs]
     cell_traces = iter(_run_cells([cell for _, pairs in members for _, cell in pairs], jobs))
 
     rows: list[dict] = []

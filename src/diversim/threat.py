@@ -23,7 +23,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .netmodel import CommGraph, ImplementationPool, vulnerable_count
+from .netmodel import CommGraph, ConfigError, ImplementationPool, vulnerable_count
 
 logger = logging.getLogger(__name__)
 
@@ -49,8 +49,8 @@ PHASE_AFTER = np.array(
 )
 
 
-class CatalogError(ValueError):
-    """Requested more exploits than vulnerable implementations exist."""
+class CatalogError(ConfigError):
+    """Attacker sizes negative or above the vulnerable supply."""
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,7 @@ class AttackerSpec:
 
     def __post_init__(self) -> None:
         if self.m3 < 0 or self.m4 < 0 or self.initial_compromise_size < 0:
-            raise ValueError("attacker sizes must be non-negative")
+            raise CatalogError("attacker sizes must be non-negative")
 
 
 def max_catalog(pool: ImplementationPool, q: float) -> tuple[int, int]:

@@ -617,6 +617,44 @@ def test_bad_config_exits_two(tmp_path, capsys):
     assert "unknown strategy" in capsys.readouterr().err
 
 
+FILES_SCENARIO = {
+    "scn.yaml": (
+        "network: {files: {layers: [l1.edges, l2.edges], users: users.txt}}\n"
+        "diversity: {x: 2}\n"
+        "attacker: {m3: 1, m4: 2, ini_comp: 1}\n"
+        "defender: {strategy: static}\n"
+        "run: {t_max: 5, runs: 2}\n"
+    ),
+    "l1.edges": "0 1\n1 2\n",
+    "l2.edges": "0 2\n",
+    "users.txt": "0\n1\n2\n",
+}
+
+
+@pytest.mark.parametrize("edit,argv,message", [
+    (("scn.yaml", "l1.edges", "gone.edges"), ["run"], "network file not found: gone.edges"),
+    (("scn.yaml", "users.txt", "gone.txt"), ["run"], "network file not found: gone.txt"),
+    (("l2.edges", "0 2", "0 x"), ["run"], "l2.edges:1: non-integer id in '0 x'"),
+    (("users.txt", "2\n", "2\n# late\n-4\n"), ["run"], "users.txt:5: negative user id"),
+    (("scn.yaml", "ini_comp: 1", "ini_comp: -1"), ["run"], "attacker sizes must be non-negative"),
+    (("scn.yaml", "m3: 1", "m3: 9"), ["run"], "m3=9 exceeds 2 vulnerable OS implementations"),
+    (None, ["run", "--runs", "0"], "runs must be >= 1"),
+    (None, ["sweep", "--sweep", "x=0:2:1"], "each program needs at least one implementation"),
+], ids=["missing-layer", "missing-users", "malformed-edge", "negative-user", "ini-comp",
+        "m3-above-supply", "runs-0", "sweep-x-0"])
+def test_rejected_input_exits_two(tmp_path, capsys, monkeypatch, edit, argv, message):
+    # network.files paths resolve against the working directory
+    monkeypatch.chdir(tmp_path)
+    files = dict(FILES_SCENARIO)
+    if edit is not None:
+        name, old, new = edit
+        files[name] = files[name].replace(old, new)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    assert main([argv[0], "--config", "scn.yaml", "--out", "out"] + argv[1:]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+
+
 def test_unwritable_out_exits_three(tmp_path, capsys):
     cfgp = write_config(tmp_path)
     blocker = tmp_path / "blocked"

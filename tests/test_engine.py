@@ -23,7 +23,7 @@ from diversim import (
     mean_of,
     monte_carlo,
     run,
-    write_edge_file,
+    write_id_file,
 )
 from diversim import engine
 from diversim.engine import Trace, final_snapshot, init_run, resolve_graph
@@ -354,8 +354,8 @@ def test_resolve_graph_handles_all_sources(tmp_path):
     assert g1.hbar == 3
     p1 = tmp_path / "a.edges"
     p2 = tmp_path / "b.edges"
-    write_edge_file(p1, [(0, 1), (1, 2)])
-    write_edge_file(p2, [(0, 2)])
+    write_id_file(p1, [(0, 1), (1, 2)])
+    write_id_file(p2, [(0, 2)])
     g2 = resolve_graph(NetworkFiles(layer_paths=(str(p1), str(p2))))
     assert g2.hbar == 3 and g2.n_computers == 3
     g3 = resolve_graph(PrebuiltNetwork(g2))

@@ -13,10 +13,10 @@ from diversim import (
     build_graph,
     generate_synthetic_network,
     load_network_files,
-    read_edge_file,
-    write_edge_file,
+    read_id_file,
+    write_id_file,
 )
-from diversim.netmodel import gather_neighbors, read_users_file
+from diversim.netmodel import gather_neighbors
 
 import reference
 from conftest import degrees_from_edges
@@ -314,14 +314,14 @@ def test_reference_scale_union():
 
 def test_edge_file_roundtrip(tmp_path):
     path = tmp_path / "layer.edges"
-    write_edge_file(path, [(0, 1), (2, 3)], comment="demo")
-    assert read_edge_file(path) == [(0, 1), (2, 3)]
+    write_id_file(path, [(0, 1), (2, 3)], comment="demo")
+    assert read_id_file(path, 2).tolist() == [[0, 1], [2, 3]]
 
 
 def test_edge_file_skips_comments_and_blanks(tmp_path):
     path = tmp_path / "layer.edges"
     path.write_text("# header\n\n1 2\n  \n3 4\n")
-    assert read_edge_file(path) == [(1, 2), (3, 4)]
+    assert read_id_file(path, 2).tolist() == [[1, 2], [3, 4]]
 
 
 @pytest.mark.parametrize("body", ["1 2 3\n", "a b\n", "-1 2\n", "1 9223372036854775808\n"])
@@ -329,28 +329,28 @@ def test_edge_file_rejects_malformed_lines(tmp_path, body):
     path = tmp_path / "bad.edges"
     path.write_text(body)
     with pytest.raises(NetworkError):
-        read_edge_file(path)
+        read_id_file(path, 2)
 
 
 def test_users_file(tmp_path):
     path = tmp_path / "users.txt"
     path.write_text("# ids\n3\n1\n3\n")
-    assert read_users_file(path) == frozenset({1, 3})
+    assert read_id_file(path, 1).tolist() == [[3], [1], [3]]
     for body in ("x\n", "9223372036854775808\n"):
         path.write_text(body)
         with pytest.raises(NetworkError):
-            read_users_file(path)
+            read_id_file(path, 1)
 
 
 def test_load_network_files_union(tmp_path):
     p1 = tmp_path / "l1.edges"
     p2 = tmp_path / "l2.edges"
     up = tmp_path / "users.txt"
-    write_edge_file(p1, [(0, 1)])
-    write_edge_file(p2, [(1, 2)])
+    write_id_file(p1, [(0, 1)])
+    write_id_file(p2, [(1, 2)])
     up.write_text("5\n")
     layers, users = load_network_files([p1, p2], up)
     assert len(layers) == 2
-    assert users == frozenset({0, 1, 2, 5})
+    assert users.tolist() == [0, 1, 2, 5]
     layers, users = load_network_files([p1, p2])
-    assert users == frozenset({0, 1, 2})
+    assert users.tolist() == [0, 1, 2]
