@@ -180,6 +180,8 @@ def load_scenario(path: str | Path) -> LoadedConfig:
             doc = yaml.safe_load(fh)
     except FileNotFoundError:
         raise ConfigError(f"scenario file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read scenario file {path}: {exc}") from None
     except yaml.YAMLError as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from None
     if not isinstance(doc, dict):

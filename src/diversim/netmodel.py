@@ -105,7 +105,8 @@ class Layer:
         canon = ids[_unique_pairs(rank[:, 0], rank[:, 1], ids.size)]
         if participants is None:
             return cls(canon, ids)
-        members = np.unique(np.fromiter(participants, dtype=np.int64))
+        members = np.unique(np.asarray(participants, dtype=np.int64) if isinstance(participants, np.ndarray)
+                            else np.fromiter(participants, dtype=np.int64))
         missing = ~np.isin(canon, members).all(axis=1)
         if missing.any():
             u, w = canon[missing][0]
@@ -204,15 +205,11 @@ class CommGraph:
 
 
 def _csr(n: int, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    if len(edges) == 0:
-        return np.zeros(n + 1, dtype=np.int64), np.empty(0, dtype=np.int64)
-    src = np.concatenate([edges[:, 0], edges[:, 1]])
-    dst = np.concatenate([edges[:, 1], edges[:, 0]])
-    order = np.lexsort((dst, src))
-    src, dst = src[order], dst[order]
+    # both directions of every link, sorted by (source, target) as one code
+    code = np.sort(np.concatenate([edges[:, 0] * n + edges[:, 1], edges[:, 1] * n + edges[:, 0]]))
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-    return indptr, dst
+    np.cumsum(np.bincount(code // n, minlength=n), out=indptr[1:])
+    return indptr, code % n
 
 
 def build_graph(layers: Sequence[Layer], users: Iterable[int] | None = None) -> CommGraph:
@@ -261,22 +258,51 @@ def assign_vulnerabilities(pool: ImplementationPool, q: float, rng: np.random.Ge
 
 # --- synthetic networks -------------------------------------------------------
 
-def _preferential_attachment(n: int, m: int, rng: np.random.Generator) -> list[tuple[int, int]]:
-    # classic growth process: each new node links to m distinct targets drawn
-    # from a list holding one entry per incident edge
-    edges: list[tuple[int, int]] = []
-    repeated: list[int] = []
-    targets = list(range(m))
-    for v in range(m, n):
-        for t in targets:
-            edges.append((t, v))
-        repeated.extend(targets)
-        repeated.extend([v] * m)
-        chosen: set[int] = set()
+def _preferential_attachment(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
+    """Links (target, v), an (E, 2) array, of the classic growth process:
+    node v >= m links to m targets, then draws m distinct targets for node
+    v+1 from a list holding one entry per link end, 2m(v-m+1) entries.
+
+    A run of nodes draws each node's first m entries in one call, which reads
+    the generator as one scalar draw per entry does. The run is redrawn up to
+    its first node that repeats an entry, and that node draws on alone. Runs
+    double after a clean run and halve after a repeat, so the links and the
+    generator's end state are those of drawing node by node.
+    """
+    # repeated[u - m] is the list's block of node u: its m targets, then m
+    # copies of u; targets not known yet are -1
+    repeated = np.empty((n - m + 1, 2, m), dtype=np.int64)
+    repeated[:, 1] = np.arange(m, n + 1)[:, None]
+    repeated[0, 0] = np.arange(m)
+    flat, targets = repeated.reshape(-1), repeated[:, 0]
+    bounds = np.repeat(2 * m * np.arange(1, n - m + 1), m)
+    v, run = m, 1
+    while v < n:
+        k = min(run, n - v)
+        bound = bounds[(v - m) * m:(v - m + k) * m]
+        state = rng.bit_generator.state if k > 1 else None
+        drawn = rng.integers(0, bound).reshape(k, m)
+        rows = targets[v + 1 - m:v + 1 - m + k]
+        rows[:] = -1
+        # a node may draw targets of an earlier node of the run: resolve in rounds
+        while (rows[:, 0] < 0).any():
+            new = np.sort(flat[drawn], axis=1)
+            new[new[:, 0] < 0] = -1
+            rows[:] = new
+        bad = np.flatnonzero((rows[:, 1:] == rows[:, :-1]).any(axis=1))
+        if not bad.size:
+            v, run = v + k, 2 * run
+            continue
+        i = int(bad[0])
+        if i < k - 1:
+            rng.bit_generator.state = state
+            rng.integers(0, bound[:(i + 1) * m])
+        chosen = set(rows[i].tolist())
         while len(chosen) < m:
-            chosen.add(repeated[int(rng.integers(len(repeated)))])
-        targets = sorted(chosen)
-    return edges
+            chosen.update(flat[rng.integers(0, bound[i * m:(i + 1) * m - len(chosen)])].tolist())
+        rows[i] = sorted(chosen)
+        v, run = v + i + 1, max(run // 2, 1)
+    return repeated[:n - m].transpose(0, 2, 1).reshape(-1, 2)
 
 
 def check_network_seed(seed: int) -> None:
@@ -310,8 +336,8 @@ def generate_synthetic_network(
     shared = rng.choice(n_layer1, size=overlap, replace=False)
     fresh = np.arange(n_layer1, n_layer1 + n_layer2 - overlap, dtype=np.int64)
     ids2 = rng.permutation(np.concatenate([shared, fresh]))
-    edges2 = ids2[np.asarray(_preferential_attachment(n_layer2, m, rng), dtype=np.int64)]
-    layer1 = Layer.from_edges(edges1, participants=range(n_layer1))
+    edges2 = ids2[_preferential_attachment(n_layer2, m, rng)]
+    layer1 = Layer.from_edges(edges1, participants=np.arange(n_layer1))
     layer2 = Layer.from_edges(edges2, participants=ids2)
     return layer1, layer2
 
@@ -323,28 +349,30 @@ def read_id_file(path: str | Path, width: int) -> np.ndarray:
     ``width`` whitespace-separated user ids (two for an edge list, one for a
     users file), each a non-negative integer below 2**63; blank lines and
     lines starting with '#' are skipped."""
-    rows = []
     try:
-        fh = open(path)
+        with open(path) as fh:
+            lines = fh.readlines()
     except FileNotFoundError:
         raise NetworkError(f"network file not found: {path}") from None
-    with fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != width:
-                raise NetworkError(f"{path}:{lineno}: expected {width} ids, got {line!r}")
-            try:
-                ids = [int(p) for p in parts]
-            except ValueError:
-                raise NetworkError(f"{path}:{lineno}: non-integer id in {line!r}") from None
-            if min(ids) < 0:
-                raise NetworkError(f"{path}:{lineno}: negative user id")
-            if max(ids) >= 2**63:
-                raise NetworkError(f"{path}:{lineno}: user id does not fit in int64")
-            rows.append(ids)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise NetworkError(f"cannot read network file {path}: {exc}") from None
+    rows = []
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != width:
+            raise NetworkError(f"{path}:{lineno}: expected {width} ids, got {line!r}")
+        try:
+            ids = [int(p) for p in parts]
+        except ValueError:
+            raise NetworkError(f"{path}:{lineno}: non-integer id in {line!r}") from None
+        if min(ids) < 0:
+            raise NetworkError(f"{path}:{lineno}: negative user id")
+        if max(ids) >= 2**63:
+            raise NetworkError(f"{path}:{lineno}: user id does not fit in int64")
+        rows.append(ids)
     return np.array(rows, dtype=np.int64).reshape(-1, width)
 
 

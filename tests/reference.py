@@ -19,6 +19,12 @@ from ``same_program_neighbors``, a slice of the graph's same-program CSR.
 ``ReferenceGraph`` is the communication graph of ``diversim.netmodel`` built
 computer by computer from the layers ``canonical_layer`` reads, and ``frame``
 the computer-level counts of a state read computer by computer.
+``lexsort_csr`` is the adjacency of ``diversim.netmodel._csr`` ordered by
+``np.lexsort``.
+
+``preferential_attachment`` is the growth process of
+``diversim.netmodel._preferential_attachment`` drawn node by node, one scalar
+``rng.integers`` call per entry drawn.
 """
 from __future__ import annotations
 
@@ -409,6 +415,20 @@ def _csr(n: int, edges) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(indptr, dtype=np.int64), np.asarray(indices, dtype=np.int64)
 
 
+def lexsort_csr(n: int, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """CSR adjacency of an (E, 2) link array: both directions of every link,
+    ordered by source, then target."""
+    if len(edges) == 0:
+        return np.zeros(n + 1, dtype=np.int64), np.empty(0, dtype=np.int64)
+    src = np.concatenate([edges[:, 0], edges[:, 1]])
+    dst = np.concatenate([edges[:, 1], edges[:, 0]])
+    order = np.lexsort((dst, src))
+    src, dst = src[order], dst[order]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return indptr, dst
+
+
 class ReferenceGraph:
     """``diversim.netmodel.CommGraph`` built computer by computer and link by
     link, from ``canonical_layer`` outputs; inputs must be valid.
@@ -479,3 +499,23 @@ class ReferenceGraph:
         self.indptr, self.indices = _csr(self.n_nodes, ordered)
         self.sp_indptr, self.sp_indices = _csr(self.n_nodes, same)
         self.degree = np.diff(self.indptr)
+
+
+# --- synthetic networks ---------------------------------------------------------
+
+def preferential_attachment(n: int, m: int, rng: np.random.Generator) -> list[tuple[int, int]]:
+    # classic growth process: each new node links to m distinct targets drawn
+    # from a list holding one entry per incident edge
+    edges: list[tuple[int, int]] = []
+    repeated: list[int] = []
+    targets = list(range(m))
+    for v in range(m, n):
+        for t in targets:
+            edges.append((t, v))
+        repeated.extend(targets)
+        repeated.extend([v] * m)
+        chosen: set[int] = set()
+        while len(chosen) < m:
+            chosen.add(repeated[int(rng.integers(len(repeated)))])
+        targets = sorted(chosen)
+    return edges

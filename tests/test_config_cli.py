@@ -640,8 +640,13 @@ FILES_SCENARIO = {
     (("scn.yaml", "m3: 1", "m3: 9"), ["run"], "m3=9 exceeds 2 vulnerable OS implementations"),
     (None, ["run", "--runs", "0"], "runs must be >= 1"),
     (None, ["sweep", "--sweep", "x=0:2:1"], "each program needs at least one implementation"),
+    (("scn.yaml", "l1.edges", "nets"), ["run"], "cannot read network file nets:"),
+    (("l2.edges", "0 2", "0 2\xe9"), ["run"], "cannot read network file l2.edges:"),
+    # the later --config wins
+    (None, ["run", "--config", "nets"], "cannot read scenario file nets:"),
 ], ids=["missing-layer", "missing-users", "malformed-edge", "negative-user", "ini-comp",
-        "m3-above-supply", "runs-0", "sweep-x-0"])
+        "m3-above-supply", "runs-0", "sweep-x-0", "layer-is-directory", "layer-not-utf8",
+        "config-is-directory"])
 def test_rejected_input_exits_two(tmp_path, capsys, monkeypatch, edit, argv, message):
     # network.files paths resolve against the working directory
     monkeypatch.chdir(tmp_path)
@@ -649,8 +654,12 @@ def test_rejected_input_exits_two(tmp_path, capsys, monkeypatch, edit, argv, mes
     if edit is not None:
         name, old, new = edit
         files[name] = files[name].replace(old, new)
+    # latin-1 writes the ASCII files unchanged and a non-ASCII letter as
+    # one byte that is not UTF-8
     for name, text in files.items():
-        (tmp_path / name).write_text(text)
+        (tmp_path / name).write_text(text, encoding="latin-1")
+    # a directory where a file is expected
+    (tmp_path / "nets").mkdir()
     assert main([argv[0], "--config", "scn.yaml", "--out", "out"] + argv[1:]) == 2
     assert f"error: {message}" in capsys.readouterr().err
 

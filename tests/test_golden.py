@@ -8,13 +8,18 @@ byte-identical. The ``run-color_flip`` and ``run-random`` hashes, the only
 cases that start from another initial coloring, were recorded from the
 node-by-node coloring sweeps. The ``gen-network`` hashes were recorded from
 the tuple-set layers that preceded the array form, and the ``sweep-tau-q``
-hashes when each of its cells still ran its own ensemble. A deliberate output
-change has to re-record them and say why.
+hashes when each of its cells still ran its own ensemble. The
+``SYNTHETIC`` hashes of the benchmark-scale networks were recorded from the
+node-by-node preferential-attachment loop, before runs of nodes drew their
+targets in one call. A deliberate output change has to re-record them and say
+why.
 """
 import hashlib
 
+import numpy as np
 import pytest
 
+from diversim import generate_synthetic_network
 from diversim.cli import main
 
 CONFIG = """\
@@ -141,6 +146,24 @@ GEN_NETWORK = {
     "users.txt": "27d51128b0cbe1da673c3723f01b365e1e61aceefe463453c5fd4ccf50c7b655",
 }
 
+# SHA-256 of the little-endian int64 bytes of each layer's edges and
+# participants, by generate_synthetic_network arguments: the paper-scale
+# network (attachment 3) and the dense reference network (attachment 22)
+SYNTHETIC = {
+    (5702, 5540, 0.887545, 3, 7): {
+        "layer1.edges": "3235ed80122ee813ef270adb4e7f5c41c35a0aa3bc9f1e055a3f6b78ba0d840e",
+        "layer1.participants": "0c10fdad71975a6f9eb120ce8fff45635dfe42cf0aaa7df50e5d256c96a01184",
+        "layer2.edges": "a5be59a26ee407f38c4b1cf0517510a9dfe53a89098934c2333d3b356dbfa68c",
+        "layer2.participants": "b3706a5605135ce3c8cc1f209cf45207310b7d333f51142d7d5973910b2956ec",
+    },
+    (545, 530, 0.887, 22, 7): {
+        "layer1.edges": "086fe76c62ca14fc6344fc103ece0b4d58d7befa3ec57d660dff3f408f98f09c",
+        "layer1.participants": "b27c83bcef13e832d7e3028088bff460a4923e87069f85828809f58f2597b55d",
+        "layer2.edges": "8fb2b9c73c7f54a379c12a5204ff443d771ae434c9dc6c9e6c963303b19ee28c",
+        "layer2.participants": "04250e439b70b38a7031100e646b961cefe216fba00c16e90680cab1b3547a4c",
+    },
+}
+
 
 def digests(out):
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
@@ -191,3 +214,15 @@ def test_golden_gen_network(tmp_path):
     argv = ["--n1", "40", "--n2", "38", "--overlap", "0.5", "--attachment", "2", "--seed", "3"]
     assert main(["gen-network", "--out", str(out), *argv]) == 0
     assert digests(out) == GEN_NETWORK
+
+
+@pytest.mark.parametrize("args", list(SYNTHETIC), ids=["paper-sparse", "ref-dense"])
+def test_golden_synthetic_networks(args):
+    layers = generate_synthetic_network(*args)
+    got = {
+        f"layer{j}.{name}": hashlib.sha256(
+            np.ascontiguousarray(getattr(layer, name), dtype="<i8").tobytes()).hexdigest()
+        for j, layer in enumerate(layers, start=1)
+        for name in ("edges", "participants")
+    }
+    assert got == SYNTHETIC[args]

@@ -16,7 +16,7 @@ from diversim import (
     read_id_file,
     write_id_file,
 )
-from diversim.netmodel import gather_neighbors
+from diversim.netmodel import _csr, _preferential_attachment, gather_neighbors
 
 import reference
 from conftest import degrees_from_edges
@@ -140,6 +140,26 @@ def test_rejects_empty_inputs():
         build_graph([])
     with pytest.raises(NetworkError):
         build_graph([Layer.from_edges([], participants=[])])
+
+
+@pytest.mark.parametrize("n,edges", [
+    (5, []),
+    (6, [(0, 5), (2, 3)]),
+    (7, [(0, 1), (0, 2), (1, 2), (2, 6), (4, 6)]),
+], ids=["no-links", "isolated-nodes", "shared-ends"])
+def test_csr_matches_lexsort(n, edges):
+    edges = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    got, want = _csr(n, edges), reference.lexsort_csr(n, edges)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype == np.int64
+        assert np.array_equal(a, b)
+
+
+def test_csr_matches_lexsort_on_synthetic_graph():
+    g = build_graph(generate_synthetic_network(300, 250, 0.5, 3, seed=5))
+    for edges in (g.edges, g.sp_edges):
+        for a, b in zip(_csr(g.n_nodes, edges), reference.lexsort_csr(g.n_nodes, edges)):
+            assert np.array_equal(a, b)
 
 
 def test_gather_neighbors_matches_per_node_lookup(overlap_graph):
@@ -292,6 +312,46 @@ def test_synthetic_network_attachment_degree():
         deg[w] = deg.get(w, 0) + 1
     # every node past the seed core arrives with exactly 4 links
     assert min(d for v, d in deg.items() if v >= 4) >= 4
+
+
+@pytest.mark.parametrize("n,m", [
+    (2, 1), (10, 9), (50, 1), (200, 50), (545, 3), (545, 22), (2000, 7), (5702, 3),
+])
+def test_preferential_attachment_matches_node_by_node_draws(n, m):
+    # same links and the same generator state afterwards, also from a
+    # generator holding the unused half of a 64-bit output
+    for seed in (0, 7, 11):
+        for pending_half in (False, True):
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            if pending_half:
+                ours.integers(5)
+                theirs.integers(5)
+            want = np.array(reference.preferential_attachment(n, m, theirs), dtype=np.int64)
+            got = _preferential_attachment(n, m, ours)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want.reshape(-1, 2))
+            assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+@pytest.mark.parametrize("bounds", [
+    [2, 7, 1000, 2**31 - 1],
+    [2**31, 2**31 + 5, 2**32 - 1, 2**32],
+    [2**32 + 1, 2**40, 3, 2**62],
+], ids=["below-2**31", "2**31-to-2**32", "above-2**32"])
+@pytest.mark.parametrize("prior", [0, 1, 3])
+def test_bounded_draws_of_an_array_read_the_stream_as_scalar_draws(bounds, prior):
+    # the batched generator relies on this: rng.integers(0, bounds) gives
+    # one scalar rng.integers(b) per bound and leaves the same state, also
+    # after an odd number of 32-bit draws left half an output pending
+    ours, theirs = np.random.default_rng(3), np.random.default_rng(3)
+    for rng in (ours, theirs):
+        for _ in range(prior):
+            rng.integers(10)
+    bounds = np.array(bounds * 3, dtype=np.int64)
+    got = ours.integers(0, bounds)
+    want = [int(theirs.integers(b)) for b in bounds]
+    assert got.tolist() == want
+    assert ours.bit_generator.state == theirs.bit_generator.state
 
 
 def test_synthetic_network_validation():
