@@ -528,16 +528,28 @@ def mean_of(traces: Sequence[Trace]) -> MeanTrace:
     )
 
 
+def worker_pool(jobs: int, runs: int) -> ProcessPoolExecutor | None:
+    """A process pool of ``min(jobs, runs)`` workers, or None when that is 1:
+    ``monte_carlo`` splits the runs into that many chunks, and one chunk
+    runs in-process."""
+    workers = min(jobs, runs)
+    return ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+
+
 def monte_carlo(
     scenario: Scenario,
     jobs: int = 1,
     collect: bool = False,
+    pool: ProcessPoolExecutor | None = None,
 ) -> MeanTrace | tuple[MeanTrace, list[Trace]]:
     """Run the ensemble and average it.
 
-    Runs are independent; per-run traces depend only on (scenario, seed,
-    run index), and the mean reduces them in run-index order, so the result
-    is identical for every ``jobs`` value.
+    The runs are split into ``min(jobs, runs)`` chunks in run-index order.
+    Several chunks run on ``pool``, or on a pool from ``worker_pool`` that
+    this call opens and shuts down when none is given; one chunk runs
+    in-process. Per-run traces depend only on (scenario, seed, run index),
+    and the mean reduces them in run-index order, so the result is
+    identical for every ``jobs`` value and every pool.
     """
     graph = resolve_graph(scenario.network)
     fixed = _shared_coloring(scenario, graph)
@@ -545,9 +557,11 @@ def monte_carlo(
     payloads = [(scenario, graph, c.tolist(), fixed) for c in chunks if c.size]
     if len(payloads) == 1:
         parts = map(_run_chunk, payloads)  # one chunk needs no worker process
+    elif pool is not None:
+        parts = list(pool.map(_run_chunk, payloads))
     else:
-        with ProcessPoolExecutor(max_workers=len(payloads)) as pool:
-            parts = list(pool.map(_run_chunk, payloads))
+        with worker_pool(jobs, scenario.runs) as own:
+            parts = list(own.map(_run_chunk, payloads))
     traces = [tr for part in parts for tr in part]
     mean = mean_of(traces)
     return (mean, traces) if collect else mean

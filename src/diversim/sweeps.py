@@ -3,17 +3,19 @@
 ``run_family`` (one cell per defender of a scenario family) and ``sweep``
 (the family times the Cartesian grid of the swept keys) make one pass:
 expand every cell, so a bad grid fails before anything runs; run each
-distinct simulation once (``_run_cells``); reduce the mean traces to
-``sweep.csv`` and ``summary.csv`` rows. One constructor, ``cell_at``,
-builds every swept cell, so the rule of each key is stated once. The
-metrics that compare ensembles are defined here: asd against the
-monoculture twin, vt along a q sweep and aec along a budget sweep; the
-per-trace reductions live in ``metrics``. Cells share the master seed, so
-all random substreams are coupled across cells.
+distinct simulation once, all on one worker pool (``_run_cells``); reduce
+the mean traces to ``sweep.csv`` and ``summary.csv`` rows. One
+constructor, ``cell_at``, builds every swept cell, so the rule of each key
+is stated once. The metrics that compare ensembles are defined here: asd
+against the monoculture twin, vt along a q sweep and aec along a budget
+sweep; the per-trace reductions live in ``metrics``. Cells share the
+master seed, so all random substreams are coupled across cells.
 """
 from __future__ import annotations
 
 import logging
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import replace
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -23,7 +25,7 @@ import numpy as np
 from . import metrics
 from .config import ConfigError, LoadedConfig
 from .defense import KNOB_NAMES, DefenderSpec, InitialAlgo, Strategy
-from .engine import MeanTrace, Scenario, monte_carlo
+from .engine import MeanTrace, Scenario, monte_carlo, worker_pool
 from .netmodel import ImplementationPool, vulnerable_count
 from .threat import AttackerSpec, max_catalog
 
@@ -103,8 +105,10 @@ def cell_at(
     return replace(base, pool=pool, q=q, attacker=_clamp_budget(att, pool, q), defender=defender)
 
 
-def run_cell(scenario: Scenario, jobs: int = 1) -> MeanTrace:
-    return monte_carlo(scenario, jobs=jobs)
+def run_cell(
+    scenario: Scenario, jobs: int = 1, pool: ProcessPoolExecutor | None = None
+) -> MeanTrace:
+    return monte_carlo(scenario, jobs=jobs, pool=pool)
 
 
 # --- cell expansion -------------------------------------------------------------
@@ -150,12 +154,18 @@ def _expand(
 def _run_cells(cells: Sequence[Scenario], jobs: int) -> list[MeanTrace]:
     """The mean trace of every cell in order, from one ``run_cell`` call per
     distinct simulation: tau is read only by the reductions, and the cells of
-    a family share network, t_max, runs, seed and defender order."""
+    a family share network, t_max, runs, seed and defender order.
+
+    Every call shares one pool of ``min(jobs, runs)`` workers
+    (``engine.worker_pool``, none at 1), shut down on return or failure.
+    """
     keys = [(c.pool, c.q, c.attacker, replace(c.defender, tau=0.0)) for c in cells]
     means: dict[tuple, MeanTrace] = {}
-    for cell, key in zip(cells, keys):
-        if key not in means:
-            means[key] = run_cell(cell, jobs=jobs)
+    pool = worker_pool(jobs, cells[0].runs)
+    with pool or nullcontext():
+        for cell, key in zip(cells, keys):
+            if key not in means:
+                means[key] = run_cell(cell, jobs=jobs, pool=pool)
     return [means[key] for key in keys]
 
 

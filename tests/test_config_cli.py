@@ -1,4 +1,5 @@
 """Scenario files and the command line front end."""
+import multiprocessing
 from pathlib import Path
 
 import numpy as np
@@ -463,8 +464,60 @@ def count_run_cells(monkeypatch) -> list:
     calls = []
     run_cell = sweeps.run_cell
     monkeypatch.setattr(sweeps, "run_cell",
-                        lambda cell, jobs=1: calls.append(cell) or run_cell(cell, jobs=jobs))
+                        lambda cell, **kw: calls.append(cell) or run_cell(cell, **kw))
     return calls
+
+
+def count_pools(monkeypatch) -> list:
+    """The worker count of every process pool ``engine.worker_pool`` builds."""
+    started = []
+    real = engine.ProcessPoolExecutor
+
+    def counting(max_workers):
+        started.append(max_workers)
+        return real(max_workers=max_workers)
+
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", counting)
+    return started
+
+
+@pytest.mark.parametrize("runs,pools", [("2", [2]), ("1", [])])
+def test_sweep_shares_one_worker_pool_across_cells(tmp_path, monkeypatch, runs, pools):
+    started = count_pools(monkeypatch)
+    calls = count_run_cells(monkeypatch)
+    cfgp = write_config(tmp_path, strategy="[static, reactive]", extra="  fpr: 0.1\n  fnr: 0.1\n")
+    outs = {}
+    for jobs in ("4", "1"):
+        outs[jobs] = tmp_path / f"jobs{jobs}"
+        assert main(["sweep", "--config", str(cfgp), "--out", str(outs[jobs]),
+                     "--sweep", "q=0.5:1:0.25", "--runs", runs, "--jobs", jobs]) == 0
+        assert multiprocessing.active_children() == []
+    # six cells at --jobs 4 share one pool of min(4, runs) workers; --jobs 1 opens none
+    assert len(calls) == 12
+    assert started == pools
+    for name in ("sweep.csv", "summary.csv"):
+        assert (outs["4"] / name).read_bytes() == (outs["1"] / name).read_bytes()
+
+
+def test_worker_pool_is_shut_down_after_a_failing_cell(tmp_path, monkeypatch, capsys):
+    started = count_pools(monkeypatch)
+    run_cell = sweeps.run_cell
+    calls = []
+
+    def fail_second(cell, **kw):
+        calls.append(cell)
+        mean = run_cell(cell, **kw)  # the pool's workers are up by now
+        if len(calls) == 2:
+            raise RuntimeError("cell failed")
+        return mean
+
+    monkeypatch.setattr(sweeps, "run_cell", fail_second)
+    cfgp = write_config(tmp_path, strategy="[static, reactive]", extra="  fpr: 0.1\n  fnr: 0.1\n")
+    assert main(["sweep", "--config", str(cfgp), "--out", str(tmp_path / "out"),
+                 "--sweep", "q=0.5:1:0.25", "--jobs", "2"]) == 3
+    assert "cell failed" in capsys.readouterr().err
+    assert len(calls) == 2 and started == [2]
+    assert multiprocessing.active_children() == []
 
 
 def test_sweep_x_runs_the_monoculture_twin_once(tmp_path, monkeypatch):
