@@ -1,11 +1,12 @@
 """Command line front end.
 
-Three subcommands: ``gen-network`` emits synthetic two-layer edge lists,
-``run`` executes one scenario file and writes the mean trace plus a metric
-summary, ``sweep`` executes a parameter grid and writes per-cell rows plus
-derived metric rows. Everything lands under ``--out``; input files are never
-touched. Exit codes: 0 success, 2 rejected input (the scenario file, the
-network files it names, options or a sweep grid), 3 runtime failure.
+Three subcommands: ``gen-network`` emits synthetic two-layer edge lists;
+``sweep`` runs a parameter grid through ``sweeps.sweep`` and writes per-cell
+rows plus derived metric rows; ``run`` is the same call with no grid and
+writes each defender's mean trace plus the metric summary. Everything lands
+under ``--out``; input files are never touched. Exit codes: 0 success, 2
+rejected input (the scenario file, the network files it names, options or
+a sweep grid), 3 runtime failure.
 """
 from __future__ import annotations
 
@@ -97,13 +98,13 @@ def _load(args) -> LoadedConfig:
 def cmd_run(args) -> int:
     cfg = _load(args)
     out = _outdir(args.out)
-    ensembles, summary = sweeps.run_family(cfg, jobs=args.jobs)
+    ensembles, _, summary = sweeps.sweep(cfg, jobs=args.jobs)
     single = len(ensembles) == 1
     # the members of a family share one network
     graph = resolve_graph(cfg.scenario.network) if args.snapshot else None
     for cell, mean in ensembles:
         suffix = "" if single else f"_{cell.defender.strategy.value}"
-        mean.write_csv(out / f"trace{suffix}.csv")
+        sweeps.write_trace_csv(out / f"trace{suffix}.csv", mean)
         if args.snapshot:
             final_snapshot(cell, 0, out / f"snapshot{suffix}.csv", graph=graph)
     sweeps.write_summary_csv(out / "summary.csv", summary)
@@ -115,7 +116,7 @@ def cmd_sweep(args) -> int:
     cfg = _load(args)
     out = _outdir(args.out)
     swept = [sweeps.parse_sweep(text) for text in args.sweep]
-    rows, summary = sweeps.sweep(cfg, swept, jobs=args.jobs)
+    _, rows, summary = sweeps.sweep(cfg, swept, jobs=args.jobs)
     sweeps.write_sweep_csv(out / "sweep.csv", rows)
     sweeps.write_summary_csv(out / "summary.csv", summary)
     logger.info("wrote %d cell rows", len(rows))

@@ -228,7 +228,8 @@ def load_scenario(path: str | Path) -> LoadedConfig:
     # a monoculture defender would force x=1 on the base; sweeps.variant derives
     # its single-implementation twin from a base that keeps the configured pool
     base_defender = next(
-        (d for d in defenders if d.strategy is not Strategy.MONOCULTURE), defenders[0]
+        (d for d in defenders if d.strategy is not Strategy.MONOCULTURE),
+        DefenderSpec(Strategy.STATIC, **shared),
     )
     scenario = Scenario(
         network=network,

@@ -152,27 +152,8 @@ class Scenario:
 
 # --- traces -------------------------------------------------------------------
 
-class _TraceRows:
-    """The trace CSV shared by one run's trace and an ensemble mean."""
-
-    def __len__(self) -> int:
-        return len(self.oc)
-
-    def write_csv(self, path: str | Path) -> None:
-        # new_compromised is a count in one run and a mean over an ensemble
-        new_fmt = "d" if self.new_compromised.dtype.kind == "i" else ".6f"
-        cc, vc, ic = self.cc, self.vc, self.ic
-        with open(path, "w") as fh:
-            fh.write("t,cc,vc,ic,oc,new_compromised\n")
-            for t in range(len(self.oc)):
-                fh.write(
-                    f"{t},{cc[t]:.6f},{vc[t]:.6f},{ic[t]:.6f},"
-                    f"{self.oc[t]:.6f},{self.new_compromised[t]:{new_fmt}}\n"
-                )
-
-
 @dataclass(eq=False)
-class Trace(_TraceRows):
+class Trace:
     """Per-step computer-level outcome of one run.
 
     Fractions are stored as exact integer counts over ``n_computers``; the
@@ -205,7 +186,7 @@ class Trace(_TraceRows):
 
 
 @dataclass(eq=False)
-class MeanTrace(_TraceRows):
+class MeanTrace:
     """Element-wise ensemble mean over runs."""
 
     cc: np.ndarray
@@ -272,7 +253,7 @@ def init_run(
     if graph is None:
         graph = resolve_graph(scenario.network)
     if graph.hbar != scenario.pool.hbar:
-        raise ValueError(
+        raise ConfigError(
             f"pool has {scenario.pool.hbar} programs but the network implies {graph.hbar}"
         )
     pool = scenario.pool

@@ -1,15 +1,15 @@
 """Scenario families and parameter sweeps.
 
-``run_family`` (one cell per defender of a scenario family) and ``sweep``
-(the family times the Cartesian grid of the swept keys) make one pass:
-expand every cell, so a bad grid fails before anything runs; run each
-distinct simulation once, all on one worker pool (``_run_cells``); reduce
-the mean traces to ``sweep.csv`` and ``summary.csv`` rows. One
-constructor, ``cell_at``, builds every swept cell, so the rule of each key
-is stated once. The metrics that compare ensembles are defined here: asd
-against the monoculture twin, vt along a q sweep and aec along a budget
-sweep; the per-trace reductions live in ``metrics``. Cells share the
-master seed, so all random substreams are coupled across cells.
+``sweep`` runs the family (one cell per defender of a scenario file) times
+the Cartesian grid of the swept keys, and with no swept key it is
+``diversim run``. One pass: expand every cell, so a bad grid fails before
+anything runs; run each distinct simulation once, on one worker pool
+(``_run_cells``); reduce each mean trace once (``cell_row``) and derive the
+summary rows from those. ``cell_at`` builds every swept cell. The metrics
+that compare ensembles live here: asd against the monoculture twin, vt
+along a q sweep, aec along a budget sweep. Cells share the master seed, so
+random substreams are coupled across cells. ``_write_csv`` writes the
+trace, sweep and summary files, every value formatted by ``_fmt``.
 """
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ import numpy as np
 from . import metrics
 from .config import ConfigError, LoadedConfig
 from .defense import KNOB_NAMES, DefenderSpec, InitialAlgo, Strategy
-from .engine import MeanTrace, Scenario, monte_carlo, worker_pool
+from .engine import MeanTrace, Scenario, Trace, monte_carlo, worker_pool
 from .netmodel import ImplementationPool, vulnerable_count
 from .threat import AttackerSpec, max_catalog
 
@@ -121,10 +121,7 @@ def parse_sweep(text: str) -> tuple[str, np.ndarray]:
         raise ConfigError(f"sweep {text!r} is not key=start:stop:step")
     if key not in SWEEP_KEYS:
         raise ConfigError(f"unknown sweep key {key!r}")
-    try:
-        grid = parse_grid(grid_text)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    grid = parse_grid(grid_text)
     if grid.size == 0:
         raise ConfigError(f"sweep {text!r} has an empty grid")
     if key in _INT_KEYS and not all(float(v).is_integer() for v in grid):
@@ -169,37 +166,16 @@ def _run_cells(cells: Sequence[Scenario], jobs: int) -> list[MeanTrace]:
     return [means[key] for key in keys]
 
 
-def run_family(cfg: LoadedConfig, jobs: int = 1) -> tuple[list[tuple], list[tuple]]:
-    """One ensemble per defender of the family.
-
-    Returns (cell, mean trace) per defender, and summary rows: tts, awd and
-    aoc per defender, then asd against a monoculture member.
-    """
-    cells = [variant(cfg.scenario, spec) for spec in cfg.defenders]
-    ensembles = list(zip(cells, _run_cells(cells, jobs)))
-    summary = []
-    for cell, mean in ensembles:
-        name, tau = cell.defender.strategy.value, cell.defender.tau
-        t = metrics.tts(mean, tau)
-        summary += [
-            (name, tau, "tts", len(mean) - 1 if t is None else t, t is None),
-            (name, tau, "awd", metrics.awd(mean), False),
-            (name, tau, "aoc", metrics.aoc(mean), False),
-        ]
-    means = {cell.defender.strategy.value: mean for cell, mean in ensembles}
-    summary += _asd_rows(cfg.defenders, means)
-    return ensembles, summary
-
-
 def sweep(
-    cfg: LoadedConfig, swept: Sequence[tuple[str, np.ndarray]], jobs: int = 1
-) -> tuple[list[dict], list[tuple]]:
+    cfg: LoadedConfig, swept: Sequence[tuple[str, np.ndarray]] = (), jobs: int = 1
+) -> tuple[list[tuple], list[dict], list[tuple]]:
     """Run every cell of the family along the swept grids.
 
-    Returns one sweep row per cell, and the summary rows a single swept key
-    derives: asd per threshold of a tau sweep, vt of a q sweep and aec of a
-    budget sweep. Tau and budget sweeps add the monoculture twin when the
-    family has no monoculture member.
+    Returns (cell, mean trace) and a sweep row per cell, and summary rows.
+    With no swept key these are tts (censored as t_max), awd and aoc per
+    defender, then asd at its own tau. One swept key derives asd per tau
+    of a tau sweep, vt of a q sweep and aec of a budget sweep; tau and
+    budget sweeps add the monoculture twin to a family without one.
     """
     keys = [k for k, _ in swept]
     if len(set(keys)) != len(keys):
@@ -212,7 +188,9 @@ def sweep(
     if single in ("tau", "budget") and not any(s.strategy is Strategy.MONOCULTURE for s in specs):
         specs.append(monoculture_baseline(cfg.scenario).defender)
     members = [(spec, _expand(cfg, variant(cfg.scenario, spec), swept)) for spec in specs]
-    cell_traces = iter(_run_cells([cell for _, pairs in members for _, cell in pairs], jobs))
+    cells = [cell for _, pairs in members for _, cell in pairs]
+    traces = _run_cells(cells, jobs)
+    cell_traces = iter(traces)
 
     rows: list[dict] = []
     summary: list[tuple] = []
@@ -227,16 +205,22 @@ def sweep(
             rows.append(row)
             values.append(value)
             curve.append(row["awd"])
-        if single == "q":
+        if not keys:
+            t = row["tts"]
+            summary.append((name, spec.tau, "tts", cell.t_max if t is None else t, t is None))
+            summary += [(name, spec.tau, m, row[m], False) for m in ("awd", "aoc")]
+        elif single == "q":
             summary.append((name, spec.tau, "vt", _vt(values, curve, spec.tau), False))
         elif single == "budget":
             crossings[name] = metrics.first_crossing(values, curve, spec.tau)
 
-    if single == "tau":
+    if not keys:
+        summary += _asd_rows(specs, means)
+    elif single == "tau":
         summary += _asd_rows(specs, means, [float(v) for v in swept[0][1]])
     elif single == "budget":
         summary += _aec_rows(cfg, crossings)
-    return rows, summary
+    return list(zip(cells, traces)), rows, summary
 
 
 def _asd_rows(
@@ -333,35 +317,41 @@ def cell_row(scenario: Scenario, swept_key: str, swept_value, trace: MeanTrace, 
     }
 
 
+def _write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Iterable]) -> None:
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
+
+
+def write_trace_csv(path: str | Path, trace: Trace | MeanTrace) -> None:
+    """One row per step; a run's new_compromised is a count, a mean's a fraction."""
+    names = ("cc", "vc", "ic", "oc", "new_compromised")
+    columns = [getattr(trace, name).tolist() for name in names]
+    _write_csv(path, ("t", *names), zip(range(len(columns[0])), *columns))
+
+
 def write_sweep_csv(path: str | Path, rows: Sequence[dict]) -> None:
     """``cell_row`` dicts, at least one; the header is their keys."""
-    with open(path, "w") as fh:
-        fh.write(",".join(rows[0]) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row.values()) + "\n")
+    _write_csv(path, rows[0], (row.values() for row in rows))
 
 
 def write_summary_csv(path: str | Path, rows: Iterable[tuple]) -> None:
     """Rows of (strategy, tau, metric, value, censored)."""
-    with open(path, "w") as fh:
-        fh.write("strategy,tau,metric,value,censored\n")
-        for strategy, tau, metric, value, censored in rows:
-            fh.write(
-                f"{strategy},{_fmt(float(tau))},{metric},{_fmt(value)},{_fmt(bool(censored))}\n"
-            )
+    header = ("strategy", "tau", "metric", "value", "censored")
+    _write_csv(path, header, ((s, float(tau), m, v, bool(c)) for s, tau, m, v, c in rows))
 
 
 def parse_grid(text: str) -> np.ndarray:
     """Parse start:stop:step into an inclusive grid."""
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ValueError(f"grid {text!r} is not start:stop:step")
-    start, stop, step = (float(p) for p in parts)
+    try:
+        start, stop, step = (float(p) for p in text.split(":"))
+    except ValueError:
+        raise ConfigError(f"grid {text!r} is not start:stop:step") from None
     if not np.isfinite([start, stop, step]).all():
-        raise ValueError(f"grid {text!r} is not finite")
+        raise ConfigError(f"grid {text!r} is not finite")
     if step <= 0:
-        raise ValueError("grid step must be positive")
+        raise ConfigError("grid step must be positive")
     if stop < start:
-        raise ValueError("grid stop below start")
+        raise ConfigError("grid stop below start")
     n = int(np.floor((stop - start) / step + 1e-9)) + 1
     return np.round(start + step * np.arange(n), 10)

@@ -197,14 +197,14 @@ def test_determinism_across_jobs(tmp_path):
     for jobs in (1, 3):
         tr = monte_carlo(scn, jobs=jobs)
         p = tmp_path / f"jobs{jobs}.csv"
-        tr.write_csv(p)
+        sweeps.write_trace_csv(p, tr)
         paths.append(p)
     assert paths[0].read_bytes() == paths[1].read_bytes()
     a = run(scn, 2)
     b = run(scn, 2)
     pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
-    a.write_csv(pa)
-    b.write_csv(pb)
+    sweeps.write_trace_csv(pa, a)
+    sweeps.write_trace_csv(pb, b)
     assert pa.read_bytes() == pb.read_bytes()
 
 

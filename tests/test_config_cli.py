@@ -304,6 +304,16 @@ def test_monoculture_first_in_family(tmp_path):
     assert ",asd," in (out / "summary.csv").read_text()
 
 
+@pytest.mark.parametrize("strategy", ["monoculture", "[monoculture]"])
+def test_monoculture_only_family_runs_at_one_implementation(tmp_path, strategy):
+    pair_cfg = write_config(tmp_path, strategy="[monoculture, static]", x=10, name="pair.yaml")
+    alone_cfg = write_config(tmp_path, strategy=strategy, x=10)
+    pair, alone = tmp_path / "pair", tmp_path / "alone"
+    assert main(["run", "--config", str(pair_cfg), "--out", str(pair)]) == 0
+    assert main(["run", "--config", str(alone_cfg), "--out", str(alone)]) == 0
+    assert (alone / "trace.csv").read_bytes() == (pair / "trace_monoculture.csv").read_bytes()
+
+
 def test_infeasible_catalog_rejected(tmp_path):
     path = write_config(tmp_path)
     path.write_text(path.read_text().replace("m3: 1", "m3: 9"))

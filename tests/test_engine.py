@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from diversim import (
     AttackerSpec,
     CatalogError,
+    ConfigError,
     DefenderSpec,
     ImplementationPool,
     InitialAlgo,
@@ -25,7 +26,7 @@ from diversim import (
     run,
     write_id_file,
 )
-from diversim import engine
+from diversim import engine, sweeps
 from diversim.engine import Trace, final_snapshot, init_run, resolve_graph
 from diversim.netmodel import COMPROMISED, INVULNERABLE, VULNERABLE
 
@@ -96,7 +97,7 @@ def test_os_compromise_pulls_down_local_apps_same_step():
 def test_zero_horizon_gives_single_row():
     scn = path_scenario(t_max=0)
     trace = run(scn, 0)
-    assert len(trace) == 1
+    assert trace.cc_count.size == 1
     assert trace.cc_count.tolist() == [1]
     assert trace.new_compromised.tolist() == [1]
 
@@ -345,6 +346,20 @@ def test_pool_network_mismatch_caught(path_graph):
         init_run(scn, 0)
 
 
+def test_pool_synthetic_network_mismatch_is_rejected_input():
+    scn = Scenario(
+        network=SyntheticNetwork(14, 12, 0.5, 2, 3),
+        pool=ImplementationPool(hbar=4, x=2),
+        q=1.0,
+        attacker=AttackerSpec(m3=1, m4=3, initial_compromise_size=1),
+        defender=DefenderSpec(Strategy.STATIC),
+        t_max=5,
+        runs=1,
+    )
+    with pytest.raises(ConfigError, match="network implies 3"):
+        init_run(scn, 0)
+
+
 # --- network sources ---------------------------------------------------------------------
 
 def test_resolve_graph_handles_all_sources(tmp_path):
@@ -377,10 +392,36 @@ def test_trace_csv_roundtrip(tmp_path):
     scn = path_scenario(t_max=3)
     mean = monte_carlo(scn)
     out = tmp_path / "trace.csv"
-    mean.write_csv(out)
+    sweeps.write_trace_csv(out, mean)
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "t,cc,vc,ic,oc,new_compromised"
     assert len(lines) == 1 + 4
     first = lines[1].split(",")
     assert first[0] == "0"
     assert float(first[1]) == pytest.approx(1 / 3)
+
+
+def test_trace_csv_formats_run_counts_and_mean_fractions(tmp_path):
+    """A run writes new_compromised as a count, an ensemble mean as a fraction."""
+    scn = path_scenario(t_max=4, runs=2,
+                        defender=DefenderSpec(Strategy.PROACTIVE, eta1=0.5, eta2=0.5))
+    header = "t,cc,vc,ic,oc,new_compromised"
+    one, mean = tmp_path / "run.csv", tmp_path / "mean.csv"
+    sweeps.write_trace_csv(one, run(scn, 0))
+    sweeps.write_trace_csv(mean, monte_carlo(scn))
+    assert one.read_text().splitlines() == [
+        header,
+        "0,0.333333,0.666667,0.000000,0.000000,1",
+        "1,0.333333,0.666667,0.000000,0.000000,0",
+        "2,0.333333,0.666667,0.000000,0.500000,0",
+        "3,0.333333,0.666667,0.000000,0.000000,1",
+        "4,0.666667,0.333333,0.000000,0.500000,1",
+    ]
+    assert mean.read_text().splitlines() == [
+        header,
+        "0,0.333333,0.666667,0.000000,0.000000,1.000000",
+        "1,0.333333,0.666667,0.000000,0.000000,0.000000",
+        "2,0.166667,0.833333,0.000000,0.500000,0.000000",
+        "3,0.166667,0.833333,0.000000,0.000000,0.500000",
+        "4,0.333333,0.666667,0.000000,0.500000,0.500000",
+    ]

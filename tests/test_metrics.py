@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from diversim import (
     AttackerSpec,
+    ConfigError,
     DefenderSpec,
     ImplementationPool,
     InitialAlgo,
@@ -89,6 +90,12 @@ def test_parse_grid_inclusive():
 @pytest.mark.parametrize("text", ["1:2", "0:1:0", "1:0:0.5", "a:b:c"])
 def test_parse_grid_rejects(text):
     with pytest.raises(ValueError):
+        sweeps.parse_grid(text)
+
+
+@pytest.mark.parametrize("text", ["1:2", "0:1:0", "1:0:0.5", "a:b:c", "0:inf:1"])
+def test_parse_grid_raises_config_error(text):
+    with pytest.raises(ConfigError):
         sweeps.parse_grid(text)
 
 
@@ -228,7 +235,7 @@ def test_vt_reactive_dominates_static():
         DefenderSpec(Strategy.REACTIVE_ADAPTIVE, tau=0.45, fpr=0.0, fnr=0.0),
     )
     cfg = LoadedConfig(small_base(), specs, scale_attacker_with_q=True, attacker_q_fraction=0.5)
-    _, summary = sweeps.sweep(cfg, [("q", np.array([0.0, 0.5, 1.0]))])
+    _, _, summary = sweeps.sweep(cfg, [("q", np.array([0.0, 0.5, 1.0]))])
     out = {name: value for name, _, metric, value, _ in summary if metric == "vt"}
     assert out["reactive"] >= out["static"]
     assert out["reactive"] == 1.0  # a perfect detector contains everything
