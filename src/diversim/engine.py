@@ -1,16 +1,24 @@
 """Discrete-time attack-defense loop and Monte Carlo driver.
 
-Each step runs, in order: the defender plans and redeploys; attacker agents
-act; OS compromise propagates to the local applications; agents spawn on
-newly compromised nodes (they first act next step); the trace records the
-computer-level outcome. A documented toggle moves the defender after the
-attacker.
+Each step runs, in order: the defender plans and redeploys; the agents on
+compromised nodes act; OS compromise propagates to the local applications;
+the trace records the computer-level outcome. A documented toggle moves the
+defender after the attacker.
 
-Agents act phase-major: all installs, then all discoveries, then privilege
-escalations, then lateral movements, then damage, hosts in ascending id
-within a pass and effects applied between passes. This is a deterministic
-linearization of concurrently acting agents; pass effects are idempotent,
-so within a pass the host order cannot change the outcome.
+Every compromised node hosts one agent, and the run keeps no agent of its
+own: an agent's phase follows from ``since``, the step its node was last
+compromised. At step t it installs when t - since is 1, and from then on
+(t - since) mod 4 of 2, 3, 0 and 1 gives discovery, privilege escalation,
+lateral movement and damage. So an agent on a node compromised in step t
+first acts at t+1, and redeploying a node ends its agent because the node
+is no longer compromised; a node compromised again starts over at install.
+
+Agents act phase-major: all discoveries, then privilege escalations, then
+lateral movements (installs and damage change nothing), hosts in ascending
+id within a pass and effects applied between passes. The three acting sets
+are fixed before any pass, so nodes falling in a step do not act in it. This
+is a deterministic linearization of concurrently acting agents; pass effects
+are idempotent, so within a pass the host order cannot change the outcome.
 
 State lives in flat numpy arrays indexed by node id, and a step is a
 handful of vectorized operations with no loop over agents. Discovery and
@@ -53,8 +61,6 @@ from .netmodel import (
 )
 from .rng import Purpose, substream
 from .threat import (
-    PHASE_AFTER,
-    AttackPhase,
     AttackerKnowledge,
     AttackerSpec,
     CatalogError,
@@ -66,8 +72,9 @@ from .threat import (
 logger = logging.getLogger(__name__)
 
 # after this many steps without new compromises or fresh attacker knowledge a
-# non-acting defender's run has reached a fixed cycle (agent phases cycle with
-# period 4) and the remaining trace rows repeat verbatim
+# non-acting defender's run has reached a fixed point: in any four steps in a
+# row, (t - since) mod 4 takes every value, so every agent has discovered,
+# escalated and moved to no effect, and the remaining trace rows repeat verbatim
 _QUIET_LIMIT = 4
 
 
@@ -211,8 +218,7 @@ class RunState:
     privesc_mask: np.ndarray
     lateral_mask: np.ndarray
     knowledge: AttackerKnowledge
-    agent_alive: np.ndarray
-    agent_phase: np.ndarray
+    since: np.ndarray
     rng_detector: np.random.Generator
     rng_redeploy: np.random.Generator
     rng_proactive: np.random.Generator
@@ -271,8 +277,11 @@ def init_run(
     state = np.where(
         vulnerable[graph.program, installed], VULNERABLE, INVULNERABLE
     ).astype(np.int8)
-    if scenario.attacker.initial_nodes is not None:
-        ini = np.asarray(sorted(scenario.attacker.initial_nodes), dtype=np.int64)
+    nodes = scenario.attacker.initial_nodes
+    if nodes is not None:
+        ini = np.unique(np.asarray(nodes, dtype=np.int64))
+        if ini.size < len(nodes) or ini.size and (ini[0] < 0 or ini[-1] >= graph.n_nodes):
+            raise ConfigError(f"initial_nodes must be distinct node ids in [0, {graph.n_nodes})")
     else:
         ini = initial_compromise(
             graph,
@@ -286,10 +295,6 @@ def init_run(
 
     knowledge = AttackerKnowledge.empty(graph.n_nodes)
     knowledge.observe(ini, installed)
-    agent_alive = np.zeros(graph.n_nodes, dtype=bool)
-    agent_phase = np.zeros(graph.n_nodes, dtype=np.int8)
-    agent_alive[ini] = True
-    agent_phase[ini] = AttackPhase.INSTALL
 
     rs = RunState(
         scenario=scenario,
@@ -300,8 +305,8 @@ def init_run(
         privesc_mask=privesc_mask,
         lateral_mask=lateral_mask,
         knowledge=knowledge,
-        agent_alive=agent_alive,
-        agent_phase=agent_phase,
+        # the footholds fall at t=0; other entries are read only while compromised
+        since=np.zeros(graph.n_nodes, dtype=np.int32),
         rng_detector=substream(scenario.seed, run_index, Purpose.DETECTOR),
         rng_redeploy=substream(scenario.seed, run_index, Purpose.REDEPLOY),
         rng_proactive=substream(scenario.seed, run_index, Purpose.PROACTIVE_SAMPLE),
@@ -312,8 +317,9 @@ def init_run(
     return rs
 
 
-def _mark_compromised(rs: RunState, nodes: np.ndarray) -> None:
+def _mark_compromised(rs: RunState, nodes: np.ndarray, t: int) -> None:
     rs.state[nodes] = COMPROMISED
+    rs.since[nodes] = t
     # the attacker controls these nodes now; its information on them is current
     rs.knowledge.observe(nodes, rs.installed)
 
@@ -348,80 +354,65 @@ def _reached(
 
 def _attack_substep(rs: RunState, t: int) -> int:
     g = rs.graph
-    newly: list[np.ndarray] = []
-    fresh = 0
-    hosts = np.flatnonzero(rs.agent_alive)
-    if hosts.size:
-        ph = rs.agent_phase[hosts]
-        discovering = hosts[ph == AttackPhase.DISCOVERY]
-        if discovering.size:
-            # a host's own entry is current: it was observed when the host
-            # was compromised, and redeploying the host kills its agent
-            def stale(v: np.ndarray | slice) -> np.ndarray:
-                return rs.knowledge.impl[v] != rs.installed[v]
+    new = fresh = 0
+    hosts = np.flatnonzero(rs.state == COMPROMISED)
+    age = (t - rs.since[hosts]) & 3
+    discovering = hosts[age == 2]
+    escalating = hosts[age == 3]
+    moving = hosts[age == 0]
+    if discovering.size:
+        # a host's own entry is current: it was observed when the host was
+        # compromised, and a redeployed host is no longer compromised
+        def stale(v: np.ndarray | slice) -> np.ndarray:
+            return rs.knowledge.impl[v] != rs.installed[v]
 
-            fresh += rs.knowledge.observe(_reached(g, discovering, stale), rs.installed)
-        escalating = hosts[ph == AttackPhase.PRIVILEGE_ESCALATION]
-        if escalating.size:
-            apps = escalating[g.is_app[escalating]]
-            if apps.size:
-                # node ids are computer-major, so ascending apps give
-                # non-decreasing OS nodes
-                os_targets = g.os_node[apps]
-                os_targets = os_targets[np.concatenate(([True], os_targets[1:] != os_targets[:-1]))]
-                hit = os_targets[
-                    (rs.state[os_targets] == VULNERABLE)
-                    & rs.privesc_mask[rs.installed[os_targets]]
-                ]
-                if hit.size:
-                    _mark_compromised(rs, hit)
-                    newly.append(hit)
-        moving = hosts[ph == AttackPhase.LATERAL_MOVEMENT]
-        if moving.size:
-            def exploitable(v: np.ndarray | slice) -> np.ndarray:
-                inst = rs.installed[v]
-                return (
-                    (rs.state[v] == VULNERABLE)
-                    & (rs.knowledge.impl[v] == inst)
-                    & rs.lateral_mask[g.program[v], inst]
-                )
-
-            hit = _reached(g, moving, exploitable)
+        fresh += rs.knowledge.observe(_reached(g, discovering, stale), rs.installed)
+    if escalating.size:
+        apps = escalating[g.is_app[escalating]]
+        if apps.size:
+            # node ids are computer-major, so ascending apps give
+            # non-decreasing OS nodes
+            os_targets = g.os_node[apps]
+            os_targets = os_targets[np.concatenate(([True], os_targets[1:] != os_targets[:-1]))]
+            hit = os_targets[
+                (rs.state[os_targets] == VULNERABLE)
+                & rs.privesc_mask[rs.installed[os_targets]]
+            ]
             if hit.size:
-                _mark_compromised(rs, hit)
-                newly.append(hit)
-        rs.agent_phase[hosts] = PHASE_AFTER[ph]
+                _mark_compromised(rs, hit, t)
+                new += hit.size
+    if moving.size:
+        def exploitable(v: np.ndarray | slice) -> np.ndarray:
+            inst = rs.installed[v]
+            return (
+                (rs.state[v] == VULNERABLE)
+                & (rs.knowledge.impl[v] == inst)
+                & rs.lateral_mask[g.program[v], inst]
+            )
+
+        hit = _reached(g, moving, exploitable)
+        if hit.size:
+            _mark_compromised(rs, hit, t)
+            new += hit.size
 
     # a compromised OS takes all of its applications down in the same step;
     # the OS node padding a computer's missing slots is compromised itself
     apps = g.slot_node[:-1, rs.state[g.slot_node[-1]] == COMPROMISED].ravel()
     spread = apps[rs.state[apps] != COMPROMISED]
     if spread.size:
-        _mark_compromised(rs, spread)
-        newly.append(spread)
-
-    if newly:
-        nodes = np.concatenate(newly)
-        rs.agent_alive[nodes] = True
-        rs.agent_phase[nodes] = AttackPhase.INSTALL
-        rs.quiet_steps = 0
-        return int(nodes.size)
-    if fresh:
-        rs.quiet_steps = 0
-    else:
-        rs.quiet_steps += 1
-    return 0
+        _mark_compromised(rs, spread, t)
+        new += spread.size
+    rs.quiet_steps = 0 if new or fresh else rs.quiet_steps + 1
+    return new
 
 
 def _defense_substep(rs: RunState, t: int) -> float:
     spec = rs.scenario.defender
     nodes = _defense_mod.plan(spec, t, rs.state, rs.graph, rs.rng_detector, rs.rng_proactive)
     if nodes.size:
-        oc = _defense_mod.redeploy(
+        return _defense_mod.redeploy(
             rs.graph, rs.pool, rs.vulnerable, rs.installed, rs.state, nodes, rs.rng_redeploy
         )
-        rs.agent_alive[nodes] = False
-        return oc
     return 0.0
 
 

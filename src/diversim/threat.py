@@ -11,9 +11,10 @@ acquisition.
 
 Every compromised node hosts one agent cycling through attack phases. An
 agent first installs, then loops discovery, privilege escalation, lateral
-movement, damage; ``engine`` carries out the phases. Decisions are
-deterministic given state and knowledge; all randomness enters through the
-catalog draw and the initial compromise.
+movement, damage, one phase per step; ``engine`` derives each agent's phase
+from the step its node was last compromised and carries out the phases.
+Decisions are deterministic given state and knowledge; all randomness enters
+through the catalog draw and the initial compromise.
 """
 from __future__ import annotations
 
@@ -36,19 +37,6 @@ class AttackPhase(IntEnum):
     DAMAGE = 4
 
 
-# after acting, an agent advances along this table; the loop excludes INSTALL
-PHASE_AFTER = np.array(
-    [
-        AttackPhase.DISCOVERY,
-        AttackPhase.PRIVILEGE_ESCALATION,
-        AttackPhase.LATERAL_MOVEMENT,
-        AttackPhase.DAMAGE,
-        AttackPhase.DISCOVERY,
-    ],
-    dtype=np.int8,
-)
-
-
 class CatalogError(ConfigError):
     """Attacker sizes negative or above the vulnerable supply."""
 
@@ -58,7 +46,8 @@ class AttackerSpec:
     """Attacker parameters for a scenario.
 
     ``initial_nodes`` overrides the sampled initial compromise with an
-    explicit node set; useful for oracle runs and coupled comparisons.
+    explicit set of distinct node ids, which ``engine.init_run`` checks
+    against the graph; useful for oracle runs and coupled comparisons.
     """
 
     m3: int

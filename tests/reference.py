@@ -4,10 +4,12 @@
 out node by node against an ``ExploitCatalog``, the catalog's targets as
 sets. ``ReferenceRun`` builds a whole step on it with plain Python loops:
 defender plan, detection and redeployment, the agents' phase passes, OS
-spread and the computer-level frame. It starts from the t=0 state
-of ``diversim.engine.init_run`` and draws from the same ``rng.Purpose``
-substreams, in the same order and sizes, as the engine, so the two must
-agree state for state and trace row for trace row.
+spread and the computer-level frame. It keeps every agent explicitly, each
+advancing along ``PHASE_AFTER`` after it acts, where the engine derives the
+phase from the step the agent's node was compromised. It starts from the
+t=0 state of ``diversim.engine.init_run`` and draws from the same
+``rng.Purpose`` substreams, in the same order and sizes, as the engine, so
+the two must agree state for state and trace row for trace row.
 
 ``color_flipping``, ``switching`` and ``degree_priority_assignment`` are the
 colorings of ``diversim.diversity`` written node by node. The two sweeps go in
@@ -43,7 +45,16 @@ from diversim.diversity import (
 from diversim.engine import init_run
 from diversim.netmodel import COMPROMISED, INVULNERABLE, VULNERABLE, vulnerable_count
 from diversim.rng import Purpose, substream
-from diversim.threat import PHASE_AFTER, AttackPhase
+from diversim.threat import AttackPhase
+
+# after acting, an agent advances along this table; the loop excludes INSTALL
+PHASE_AFTER = (
+    AttackPhase.DISCOVERY,
+    AttackPhase.PRIVILEGE_ESCALATION,
+    AttackPhase.LATERAL_MOVEMENT,
+    AttackPhase.DAMAGE,
+    AttackPhase.DISCOVERY,
+)
 
 
 @dataclass(frozen=True)
@@ -172,8 +183,8 @@ class ReferenceRun:
         self.knowledge = Knowledge([int(i) for i in rs.knowledge.impl])
         self.catalog = ExploitCatalog.from_masks(rs.privesc_mask, rs.lateral_mask)
         self.agents = {
-            int(v): AttackAgent(int(v), AttackPhase(int(rs.agent_phase[v])), 0)
-            for v in np.flatnonzero(rs.agent_alive)
+            int(v): AttackAgent(int(v), AttackPhase.INSTALL, 0)
+            for v in np.flatnonzero(rs.state == COMPROMISED)
         }
         self.rng_detector = substream(scenario.seed, run_index, Purpose.DETECTOR)
         self.rng_redeploy = substream(scenario.seed, run_index, Purpose.REDEPLOY)

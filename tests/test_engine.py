@@ -360,6 +360,16 @@ def test_pool_synthetic_network_mismatch_is_rejected_input():
         init_run(scn, 0)
 
 
+@pytest.mark.parametrize("nodes", [(0, 0), (-1,), (6,)],
+                         ids=["repeated", "negative", "past-the-end"])
+def test_bad_initial_nodes_are_rejected_input(nodes):
+    # the path scenario has six nodes
+    scn = path_scenario(attacker=AttackerSpec(m3=1, m4=1, initial_compromise_size=1,
+                                              initial_nodes=nodes))
+    with pytest.raises(ConfigError, match=r"initial_nodes must be distinct node ids in \[0, 6\)"):
+        init_run(scn, 0)
+
+
 # --- network sources ---------------------------------------------------------------------
 
 def test_resolve_graph_handles_all_sources(tmp_path):

@@ -9,6 +9,10 @@ cases that start from another initial coloring, were recorded from the
 node-by-node coloring sweeps. The ``gen-network`` hashes were recorded from
 the tuple-set layers that preceded the array form, and the ``sweep-tau-q``
 hashes when each of its cells still ran its own ensemble. The
+``run-attacker-first`` hashes, the only case in which the attacker acts
+before the defender in each step, were recorded while the engine still kept
+each agent's phase in an array of its own, before it derived the phase from
+the step its node was compromised. The
 ``SYNTHETIC`` hashes of the benchmark-scale networks were recorded from the
 node-by-node preferential-attachment loop, before runs of nodes drew their
 targets in one call. A deliberate output change has to re-record them and say
@@ -34,7 +38,7 @@ defender:
   eta2: 0.25
   fpr: 0.1
   fnr: 0.1
-run: {{t_max: 30, runs: 3, seed: 5}}
+run: {{t_max: 30, runs: 3, seed: 5{run}}}
 """
 
 FAMILY = "static, proactive, reactive, hybrid"
@@ -122,6 +126,13 @@ GOLDEN = {
         "trace_reactive.csv": "564e8641a8ac7bdfbb569a801049f6fdf507faa1eeda79df122ddf54985a4440",
         "trace_static.csv": "adf41e2e45bb784dac7bd3b9b98f7ab6e13c30e146497745bbcb6d4ced4f5d06",
     },
+    "run-attacker-first": {
+        "summary.csv": "fd612cba1cfa290a535f5bd03a8bf410157ee06a48410e4258e0366abbd43a0a",
+        "trace_hybrid.csv": "0f5e5ea4a42cfd4c5bda1c5de90b575ae0f770746b88ecbd9d690208669dcb22",
+        "trace_proactive.csv": "252dc6964ca5cca4d875069bfdfeff91f9695b596a7c64df62fa795d2fd41908",
+        "trace_reactive.csv": "f3e7cc1dfcd59b413adb16dccd9abeee981384cff77e01c17d0dee68fda047d9",
+        "trace_static.csv": "6c0db89d7777183576bfa93b483b1348ffd4522cec93e670846149e319de02b1",
+    },
     "run-random": {
         "summary.csv": "dae2a1e97f50aa977fb2dd8bd8a6e511cd65b76e156bd31abf9a9ccbe6ca297b",
         "trace_hybrid.csv": "38d8078ff36e8d96344217f83c00c16de8244d8dcc2791b8a5900bacaecf5ceb",
@@ -169,10 +180,11 @@ def digests(out):
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
 
 
-def outputs(tmp_path, strategies, scale, argv, jobs, algo="degree_priority"):
-    """SHA-256 of every file one invocation writes, by file name."""
+def outputs(tmp_path, strategies, scale, argv, jobs, algo="degree_priority", run=""):
+    """SHA-256 of every file one invocation writes, by file name; ``run``
+    extends the scenario's ``run:`` mapping."""
     cfg = tmp_path / "scenario.yaml"
-    cfg.write_text(CONFIG.format(strategies=strategies, scale=scale, algo=algo))
+    cfg.write_text(CONFIG.format(strategies=strategies, scale=scale, algo=algo, run=run))
     out = tmp_path / "out"
     command, rest = argv[0], argv[1:]
     code = main([command, "--config", str(cfg), "--out", str(out), "--jobs", str(jobs), *rest])
@@ -207,6 +219,13 @@ def test_golden_run_family_with_snapshots(tmp_path):
 def test_golden_run_family_with_other_initial_colorings(tmp_path, algo):
     # every other case starts from the degree-priority coloring
     assert outputs(tmp_path, FAMILY, "true", ["run"], jobs=1, algo=algo) == GOLDEN[f"run-{algo}"]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_golden_run_family_attacker_first(tmp_path, jobs):
+    # every other case lets the defender act first in each step
+    got = outputs(tmp_path, FAMILY, "true", ["run"], jobs=jobs, run=", defender_first: false")
+    assert got == GOLDEN["run-attacker-first"]
 
 
 def test_golden_gen_network(tmp_path):

@@ -15,9 +15,9 @@ from diversim import (
     initial_compromise,
 )
 from diversim.netmodel import COMPROMISED, INVULNERABLE, VULNERABLE
-from diversim.threat import PHASE_AFTER, AttackerKnowledge, max_catalog
+from diversim.threat import AttackerKnowledge, max_catalog
 
-from reference import AttackAgent, ExploitCatalog, agent_decide, matches, neighbors
+from reference import PHASE_AFTER, AttackAgent, ExploitCatalog, agent_decide, matches, neighbors
 
 
 def full_vuln(pool):
