@@ -41,7 +41,6 @@ from .config import ConfigError, LoadedConfig, load_scenario
 from .metrics import AsdResult, aoc, asd, awd, first_crossing, tts
 from .threat import (
     AttackerSpec,
-    AttackPhase,
     CatalogError,
     build_exploit_catalog,
     initial_compromise,
@@ -51,7 +50,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AsdResult",
-    "AttackPhase",
     "AttackerSpec",
     "CatalogError",
     "ColoringReport",

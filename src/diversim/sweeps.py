@@ -122,8 +122,6 @@ def parse_sweep(text: str) -> tuple[str, np.ndarray]:
     if key not in SWEEP_KEYS:
         raise ConfigError(f"unknown sweep key {key!r}")
     grid = parse_grid(grid_text)
-    if grid.size == 0:
-        raise ConfigError(f"sweep {text!r} has an empty grid")
     if key in _INT_KEYS and not all(float(v).is_integer() for v in grid):
         raise ConfigError(f"sweep {text!r} has a non-integral value for integer key {key!r}")
     return key, grid
@@ -342,7 +340,7 @@ def write_summary_csv(path: str | Path, rows: Iterable[tuple]) -> None:
 
 
 def parse_grid(text: str) -> np.ndarray:
-    """Parse start:stop:step into an inclusive grid."""
+    """Parse start:stop:step into an inclusive grid of at least one point."""
     try:
         start, stop, step = (float(p) for p in text.split(":"))
     except ValueError:
@@ -353,5 +351,7 @@ def parse_grid(text: str) -> np.ndarray:
         raise ConfigError("grid step must be positive")
     if stop < start:
         raise ConfigError("grid stop below start")
-    n = int(np.floor((stop - start) / step + 1e-9)) + 1
-    return np.round(start + step * np.arange(n), 10)
+    n = np.floor((stop - start) / step + 1e-9) + 1
+    if not np.isfinite(n):
+        raise ConfigError(f"grid {text!r} has a point count that is not finite")
+    return np.round(start + step * np.arange(int(n)), 10)

@@ -20,21 +20,12 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from enum import IntEnum
 
 import numpy as np
 
 from .netmodel import CommGraph, ConfigError, ImplementationPool, vulnerable_count
 
 logger = logging.getLogger(__name__)
-
-
-class AttackPhase(IntEnum):
-    INSTALL = 0
-    DISCOVERY = 1
-    PRIVILEGE_ESCALATION = 2
-    LATERAL_MOVEMENT = 3
-    DAMAGE = 4
 
 
 class CatalogError(ConfigError):

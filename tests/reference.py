@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from enum import IntEnum
 
 import numpy as np
 
@@ -45,7 +46,17 @@ from diversim.diversity import (
 from diversim.engine import init_run
 from diversim.netmodel import COMPROMISED, INVULNERABLE, VULNERABLE, vulnerable_count
 from diversim.rng import Purpose, substream
-from diversim.threat import AttackPhase
+
+
+class AttackPhase(IntEnum):
+    """An agent's phases; the engine derives them from the compromise step."""
+
+    INSTALL = 0
+    DISCOVERY = 1
+    PRIVILEGE_ESCALATION = 2
+    LATERAL_MOVEMENT = 3
+    DAMAGE = 4
+
 
 # after acting, an agent advances along this table; the loop excludes INSTALL
 PHASE_AFTER = (

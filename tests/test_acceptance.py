@@ -1,13 +1,16 @@
 """End-to-end acceptance checks.
 
-Cheap property checks come first; the last three tests rebuild the
-reference cells at full ensemble size (100 runs, 500 steps, ~600
-computers) and dominate the suite's runtime.
+Cheap property checks come first; the last three tests run the reference
+cells at full ensemble size (100 runs, 500 steps, ~600 computers) and
+dominate the suite's runtime. The slowdown and tolerance cells are the
+bundled scenario files, run through ``sweeps.sweep`` as ``diversim sweep``
+runs them.
 """
 import hashlib
 import itertools
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,18 +27,20 @@ from diversim import (
     color_flipping,
     count_defective_edges,
     degree_priority_assignment,
+    load_scenario,
     monte_carlo,
     random_coloring,
     run,
     sweeps,
 )
 from diversim.defense import detect
-from diversim.metrics import asd, aoc, awd
+from diversim.metrics import asd, aoc
 from diversim.netmodel import COMPROMISED, Layer
 
 from conftest import make_scenario
 
 JOBS = 4
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def random_graph(rng, users_lo=6, users_hi=12):
@@ -354,33 +359,16 @@ def test_catalog_growth_never_shrinks_compromise():
 # 6. strategy ordering by attack slowdown on the reference cell
 
 
-def reference_defenders():
-    return [
-        DefenderSpec(Strategy.STATIC, tau=1 / 3),
-        DefenderSpec(Strategy.PROACTIVE, tau=1 / 3, eta1=0.5, eta2=0.2),
-        DefenderSpec(Strategy.REACTIVE_ADAPTIVE, tau=1 / 3, fpr=0.1, fnr=0.1),
-        DefenderSpec(Strategy.HYBRID, tau=1 / 3, eta2=0.2, fpr=0.1, fnr=0.1),
-    ]
-
-
 def test_slowdown_ordering_reference_cell():
-    base = Scenario(
-        network=SyntheticNetwork(545, 530, 0.887, 22, 7),
-        pool=ImplementationPool(hbar=3, x=10),
-        q=1.0,
-        attacker=AttackerSpec(m3=5, m4=10, initial_compromise_size=10),
-        defender=DefenderSpec(Strategy.STATIC, tau=1 / 3),
-        t_max=500,
-        runs=100,
-        seed=7,
-    )
-    mono = monte_carlo(sweeps.monoculture_baseline(base), jobs=JOBS)
-    gaps = {}
-    censored = {}
-    for spec in reference_defenders():
-        res = asd(monte_carlo(sweeps.variant(base, spec), jobs=JOBS), mono, 1 / 3)
-        gaps[spec.strategy] = res.steps
-        censored[spec.strategy] = res.censored
+    # the one-point tau grid at the scenario's own tau adds the monoculture
+    # twin and the asd rows, as `diversim sweep` does
+    cfg = load_scenario(SCENARIOS / "strategy_slowdown.yaml")
+    tau = np.array([cfg.scenario.defender.tau])
+    _, _, summary = sweeps.sweep(cfg, [("tau", tau)], jobs=JOBS)
+    gaps, censored = {}, {}
+    for name, _, metric, steps, cens in summary:
+        if metric == "asd":
+            gaps[Strategy(name)], censored[Strategy(name)] = steps, cens
     re_, hy = gaps[Strategy.REACTIVE_ADAPTIVE], gaps[Strategy.HYBRID]
     pr, st = gaps[Strategy.PROACTIVE], gaps[Strategy.STATIC]
     assert re_ > hy > pr
@@ -428,26 +416,11 @@ def test_initial_coloring_effect_reference_cell():
 
 
 def test_quality_tolerance_reference_cell():
-    base = Scenario(
-        network=SyntheticNetwork(545, 530, 0.887, 3, 7),
-        pool=ImplementationPool(hbar=3, x=20),
-        q=1.0,
-        attacker=AttackerSpec(m3=10, m4=20, initial_compromise_size=10),
-        defender=DefenderSpec(Strategy.STATIC, tau=1 / 3),
-        t_max=500,
-        runs=100,
-        seed=7,
-    )
-    qgrid = np.arange(0.0, 1.0001, 0.1)
-    tolerated = {}
-    for spec in reference_defenders():
-        cells = [sweeps.cell_at(sweeps.variant(base, spec), "q", float(q)) for q in qgrid]
-        curve = np.array([awd(sweeps.run_cell(c, jobs=JOBS)) for c in cells])
-        best = 0.0
-        for qv, peak in zip(qgrid, curve):
-            if peak <= 1 / 3:
-                best = max(best, float(qv))
-        tolerated[spec.strategy] = best
+    cfg = load_scenario(SCENARIOS / "quality_tolerance.yaml")
+    _, rows, summary = sweeps.sweep(cfg, [("q", sweeps.parse_grid("0:1:0.1"))], jobs=JOBS)
+    tolerated = {Strategy(s): vt for s, _, metric, vt, _ in summary if metric == "vt"}
+    for spec in cfg.defenders:
+        curve = [row["awd"] for row in rows if row["strategy"] == spec.strategy.value]
         # rising within one grid step of noise: any two points at least two
         # steps apart may dip by no more than half a percent of the network
         for i in range(len(curve)):

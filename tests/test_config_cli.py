@@ -154,13 +154,22 @@ def test_reactive_alias(tmp_path):
         (lambda s: s + "telemetry: {}\n", "unknown section"),
         (lambda s: s.replace("  t_max: 10", "  t_max: 10\n  warp: 1"), "warp"),
         (lambda s: s.replace("  x: 3", "  x: 3\n  initial_algo: psychic"), "initial_algo"),
+        (lambda s: s.replace("diversity:\n  x: 3\n", "diversity: 5\n"),
+         "section 'diversity' must be a mapping"),
+        (lambda s: s.replace("  m3: 1\n", ""), "missing key 'm3'"),
+        (lambda s: s.replace("strategy: static", "tau: 0.3"), "strategy is required"),
+        (lambda s: s.replace("strategy: static", "strategy: []"), "non-empty list"),
+        (lambda s: s.replace("  x: 3", "  x: [3"), "cannot parse"),
+        (lambda s: "- 1\n", "mapping of sections"),
     ],
 )
-def test_config_rejections(tmp_path, mutation, match):
+def test_config_rejections(tmp_path, capsys, mutation, match):
     path = write_config(tmp_path)
     path.write_text(mutation(path.read_text()))
     with pytest.raises(ConfigError, match=match):
         load_scenario(path)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -445,12 +454,23 @@ def test_sweep_q_reports_tolerance(tmp_path):
 
 
 def test_sweep_budget_reports_extra_cost(tmp_path):
-    cfgp = write_config(tmp_path)
-    out = tmp_path / "out"
-    assert main(["sweep", "--config", str(cfgp), "--out", str(out),
-                 "--sweep", "budget=0:6:2"]) == 0
-    summary = (out / "summary.csv").read_text()
-    assert ",aec," in summary
+    # a family without monoculture gets the twin appended; a listed
+    # monoculture member is the baseline itself
+    for label, strategy, extra, diversified in (
+        ("twin", "static", "", {"static"}),
+        ("listed", "[static, reactive, monoculture]", "  fpr: 0.1\n  fnr: 0.1\n",
+         {"static", "reactive"}),
+    ):
+        cfgp = write_config(tmp_path, strategy=strategy, extra=extra, name=f"{label}.yaml")
+        out = tmp_path / label
+        assert main(["sweep", "--config", str(cfgp), "--out", str(out),
+                     "--sweep", "budget=0:6:2"]) == 0
+        rows = (out / "sweep.csv").read_text().splitlines()[1:]
+        mono = [r for r in rows if r.startswith("monoculture,")]
+        assert len(mono) == 4 and len(rows) == 4 * (len(diversified) + 1)
+        summary = (out / "summary.csv").read_text().splitlines()[1:]
+        assert ",aec," in "\n".join(summary)
+        assert {r.split(",")[0] for r in summary if ",aec," in r} == diversified
 
 
 def test_sweep_x_keeps_monoculture_at_one_implementation(tmp_path):
@@ -624,8 +644,9 @@ def test_sweep_integer_keys_reject_fractions(tmp_path, capsys, grid):
     assert "non-integral" in capsys.readouterr().err
 
 
+# the last two have finite ends and an infinite point count
 @pytest.mark.parametrize("grid", ["q=0:inf:0.1", "q=-inf:1:0.1", "tau=0.1:0.3:inf",
-                                  "tau=nan:0.3:0.1"])
+                                  "tau=nan:0.3:0.1", "q=0:1e308:1e-308", "q=-1e308:1e308:1"])
 def test_sweep_non_finite_grid_exits_two(tmp_path, capsys, grid):
     cfgp = write_config(tmp_path)
     code = main(["sweep", "--config", str(cfgp), "--out", str(tmp_path / "out"), "--sweep", grid])

@@ -37,9 +37,8 @@ from diversim import (
 )
 from diversim import engine
 from diversim.netmodel import COMPROMISED, vulnerable_count
-from diversim.threat import AttackPhase
 
-from reference import ReferenceRun, _csr, neighbors
+from reference import AttackPhase, ReferenceRun, _csr, neighbors
 
 
 @dataclass(frozen=True)

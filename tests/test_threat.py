@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from diversim import (
-    AttackPhase,
     AttackerSpec,
     CatalogError,
     ImplementationPool,
@@ -17,7 +16,9 @@ from diversim import (
 from diversim.netmodel import COMPROMISED, INVULNERABLE, VULNERABLE
 from diversim.threat import AttackerKnowledge, max_catalog
 
-from reference import PHASE_AFTER, AttackAgent, ExploitCatalog, agent_decide, matches, neighbors
+from reference import (
+    PHASE_AFTER, AttackAgent, AttackPhase, ExploitCatalog, agent_decide, matches, neighbors,
+)
 
 
 def full_vuln(pool):
