@@ -48,8 +48,6 @@ _STRATEGY_ALIASES = {
 class LoadedConfig:
     scenario: Scenario
     defenders: tuple[DefenderSpec, ...]
-    scale_attacker_with_q: bool
-    attacker_q_fraction: float
 
 
 def _section(doc: dict, name: str, required: bool = True) -> dict:
@@ -209,11 +207,8 @@ def load_scenario(path: str | Path) -> LoadedConfig:
         m3=_take(att, "m3", _integer, required=True),
         m4=_take(att, "m4", _integer, required=True),
         initial_compromise_size=_take(att, "ini_comp", _integer, default=0),
+        **_present(att, {"scale_with_q": _boolean, "q_fraction": _real}),
     )
-    scale_q = _take(att, "scale_with_q", _boolean, default=True)
-    fraction = _take(att, "q_fraction", _real, default=0.5)
-    if not 0.0 <= fraction <= 1.0:
-        raise ConfigError("attacker.q_fraction outside [0, 1]")
     _reject_unknown(att, "attacker")
 
     dfn = _section(doc, "defender")
@@ -242,4 +237,4 @@ def load_scenario(path: str | Path) -> LoadedConfig:
     unknown = set(doc) - {"network", "diversity", "attacker", "defender", "run"}
     if unknown:
         raise ConfigError(f"unknown section {sorted(unknown)[0]!r}")
-    return LoadedConfig(scenario, defenders, scale_q, fraction)
+    return LoadedConfig(scenario, defenders)

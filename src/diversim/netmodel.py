@@ -24,6 +24,7 @@ participation matrix without a loop over computers or links.
 from __future__ import annotations
 
 import logging
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -344,11 +345,14 @@ def generate_synthetic_network(
 
 # --- id files -------------------------------------------------------------------
 
+_IDS = re.compile(r"(?:-?[0-9]+\s+)*-?[0-9]+")  # int() also takes 1_000, +1, non-ASCII digits
+
+
 def read_id_file(path: str | Path, width: int) -> np.ndarray:
     """Parse an id file into an (n, width) int64 array: each line holds
     ``width`` whitespace-separated user ids (two for an edge list, one for a
-    users file), each a non-negative integer below 2**63; blank lines and
-    lines starting with '#' are skipped."""
+    users file), each ASCII digits for a non-negative integer below 2**63;
+    blank lines and lines starting with '#' are skipped."""
     try:
         with open(path) as fh:
             lines = fh.readlines()
@@ -364,12 +368,12 @@ def read_id_file(path: str | Path, width: int) -> np.ndarray:
         parts = line.split()
         if len(parts) != width:
             raise NetworkError(f"{path}:{lineno}: expected {width} ids, got {line!r}")
-        try:
-            ids = [int(p) for p in parts]
-        except ValueError:
-            raise NetworkError(f"{path}:{lineno}: non-integer id in {line!r}") from None
-        if min(ids) < 0:
+        if not _IDS.fullmatch(line):
+            raise NetworkError(f"{path}:{lineno}: non-integer id in {line!r}")
+        digits = [p.lstrip("-0") or "0" for p in parts]  # int() refuses over 4300 digits
+        if "-" in line and any(p[0] == "-" and d != "0" for p, d in zip(parts, digits)):
             raise NetworkError(f"{path}:{lineno}: negative user id")
+        ids = [int(d) if len(d) <= 19 else 2**63 for d in digits]  # 20 digits exceed int64
         if max(ids) >= 2**63:
             raise NetworkError(f"{path}:{lineno}: user id does not fit in int64")
         rows.append(ids)

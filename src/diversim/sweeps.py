@@ -5,11 +5,12 @@ the Cartesian grid of the swept keys, and with no swept key it is
 ``diversim run``. One pass: expand every cell, so a bad grid fails before
 anything runs; run each distinct simulation once, on one worker pool
 (``_run_cells``); reduce each mean trace once (``cell_row``) and derive the
-summary rows from those. ``cell_at`` builds every swept cell. The metrics
-that compare ensembles live here: asd against the monoculture twin, vt
-along a q sweep, aec along a budget sweep. Cells share the master seed, so
-random substreams are coupled across cells. ``_write_csv`` writes the
-trace, sweep and summary files, every value formatted by ``_fmt``.
+summary rows from those. ``cell_at`` builds every cell, the monoculture
+twin included, from the scenario alone. The metrics that compare
+ensembles live here: asd against the monoculture twin, vt along a q
+sweep, aec along a budget sweep. Cells share the master seed, so random
+substreams are coupled across cells. ``_write_csv`` writes the trace,
+sweep and summary files, every value formatted by ``_fmt``.
 """
 from __future__ import annotations
 
@@ -26,8 +27,8 @@ from . import metrics
 from .config import ConfigError, LoadedConfig
 from .defense import KNOB_NAMES, DefenderSpec, InitialAlgo, Strategy
 from .engine import MeanTrace, Scenario, Trace, monte_carlo, worker_pool
-from .netmodel import ImplementationPool, vulnerable_count
-from .threat import AttackerSpec, max_catalog
+from .netmodel import vulnerable_count
+from .threat import max_catalog
 
 logger = logging.getLogger(__name__)
 
@@ -41,28 +42,21 @@ _MONOCULTURE = Strategy.MONOCULTURE.value
 
 
 def variant(base: Scenario, defender: DefenderSpec) -> Scenario:
-    """The base scenario under a different defender."""
+    """The base scenario under a different defender; a monoculture defender
+    gets the undiversified twin, ``cell_at(base, "x", 1)``."""
     if defender.strategy is Strategy.MONOCULTURE:
-        return monoculture_baseline(base, defender)
+        return replace(cell_at(base, "x", 1), defender=defender)
     return replace(base, defender=defender)
 
 
 def monoculture_baseline(base: Scenario, defender: DefenderSpec | None = None) -> Scenario:
     """The undiversified twin of a scenario: one implementation per program,
     attacker budget clamped to what a single implementation can absorb."""
-    pool = ImplementationPool(base.pool.hbar, 1)
     if defender is None:
         defender = DefenderSpec(
             Strategy.MONOCULTURE, tau=base.defender.tau, initial_algo=InitialAlgo.RANDOM
         )
-    attacker = _clamp_budget(base.attacker, pool, base.q)
-    return replace(base, pool=pool, defender=defender, attacker=attacker)
-
-
-def _clamp_budget(attacker: AttackerSpec, pool: ImplementationPool, q: float) -> AttackerSpec:
-    # a grid budget beyond the vulnerable supply saturates instead of failing
-    max_m3, max_m4 = max_catalog(pool, q)
-    return replace(attacker, m3=min(attacker.m3, max_m3), m4=min(attacker.m4, max_m4))
+    return variant(base, defender)
 
 
 def split_budget(total: int, hbar: int) -> tuple[int, int]:
@@ -72,23 +66,22 @@ def split_budget(total: int, hbar: int) -> tuple[int, int]:
     return m3, int(total) - m3
 
 
-def cell_at(
-    base: Scenario, key: str, value, scale_with_q: bool = True, q_fraction: float = 0.5
-) -> Scenario:
+def cell_at(base: Scenario, key: str, value) -> Scenario:
     """The cell of ``base`` with one sweep key set to ``value``.
 
-    q by default scales the attacker along, holding round(q_fraction * x * q)
-    exploits per program; budget is split by ``split_budget``; x leaves a
-    monoculture member at its single implementation; tau and the other
-    defender knobs move only a defender that has them (``defense.KNOBS``).
-    The attacker is then clamped to the cell's vulnerable supply, so a grid
-    budget beyond it saturates instead of failing.
+    q moves the attacker by the rule on ``base.attacker``: with
+    ``scale_with_q`` it holds round(q_fraction * x * q) exploits per program;
+    budget is split by ``split_budget``; x leaves a monoculture member at its
+    single implementation; tau and the other defender knobs move only a
+    defender that has them (``defense.KNOBS``). The attacker is then clamped
+    to the cell's vulnerable supply, so a grid budget beyond it saturates
+    instead of failing.
     """
     pool, q, att, defender = base.pool, base.q, base.attacker, base.defender
     if key == "q":
         q = value
-        if scale_with_q:
-            per = int(round(q_fraction * pool.x * q))
+        if att.scale_with_q:
+            per = int(round(att.q_fraction * pool.x * q))
             att = replace(att, m3=per, m4=(pool.hbar - 1) * per)
     elif key == "budget":
         m3, m4 = split_budget(value, pool.hbar)
@@ -102,7 +95,9 @@ def cell_at(
         att = replace(att, initial_compromise_size=value)
     elif getattr(defender, key) is not None:
         defender = replace(defender, **{key: value})
-    return replace(base, pool=pool, q=q, attacker=_clamp_budget(att, pool, q), defender=defender)
+    max_m3, max_m4 = max_catalog(pool, q)
+    att = replace(att, m3=min(att.m3, max_m3), m4=min(att.m4, max_m4))
+    return replace(base, pool=pool, q=q, attacker=att, defender=defender)
 
 
 def run_cell(
@@ -127,17 +122,14 @@ def parse_sweep(text: str) -> tuple[str, np.ndarray]:
     return key, grid
 
 
-def _expand(
-    cfg: LoadedConfig, base: Scenario, swept: Sequence[tuple[str, np.ndarray]]
-) -> list[tuple]:
+def _expand(base: Scenario, swept: Sequence[tuple[str, np.ndarray]]) -> list[tuple]:
     """(value, cell) pairs over the Cartesian product of the swept grids;
     the values of several keys are joined by ';'."""
     pairs = [(None, base)]
     for key, grid in swept:
         values = [int(v) if key in _INT_KEYS else float(v) for v in grid]
         pairs = [
-            (value if joined is None else f"{joined};{value}",
-             cell_at(cell, key, value, cfg.scale_attacker_with_q, cfg.attacker_q_fraction))
+            (value if joined is None else f"{joined};{value}", cell_at(cell, key, value))
             for joined, cell in pairs
             for value in values
         ]
@@ -185,7 +177,7 @@ def sweep(
     specs = list(cfg.defenders)
     if single in ("tau", "budget") and not any(s.strategy is Strategy.MONOCULTURE for s in specs):
         specs.append(monoculture_baseline(cfg.scenario).defender)
-    members = [(spec, _expand(cfg, variant(cfg.scenario, spec), swept)) for spec in specs]
+    members = [(spec, _expand(variant(cfg.scenario, spec), swept)) for spec in specs]
     cells = [cell for _, pairs in members for _, cell in pairs]
     traces = _run_cells(cells, jobs)
     cell_traces = iter(traces)
@@ -199,7 +191,7 @@ def sweep(
         values, curve = [], []
         for value, cell in pairs:
             means[name] = mean = next(cell_traces)  # one trace per member in a tau sweep
-            row = cell_row(cell, "+".join(keys), value, mean, cell.defender.tau)
+            row = cell_row(cell, "+".join(keys), value, mean)
             rows.append(row)
             values.append(value)
             curve.append(row["awd"])
@@ -286,9 +278,9 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def cell_row(scenario: Scenario, swept_key: str, swept_value, trace: MeanTrace, tau: float) -> dict:
+def cell_row(scenario: Scenario, swept_key: str, swept_value, trace: MeanTrace) -> dict:
     d = scenario.defender
-    t = metrics.tts(trace, tau)
+    t = metrics.tts(trace, d.tau)
     return {
         "strategy": d.strategy.value,
         "initial_algo": d.initial_algo.value,
@@ -302,7 +294,7 @@ def cell_row(scenario: Scenario, swept_key: str, swept_value, trace: MeanTrace, 
         "eta2": d.eta2,
         "fpr": d.fpr,
         "fnr": d.fnr,
-        "tau": tau,
+        "tau": d.tau,
         "t_max": scenario.t_max,
         "runs": scenario.runs,
         "seed": scenario.seed,

@@ -29,7 +29,7 @@ logger = logging.getLogger(__name__)
 
 
 class CatalogError(ConfigError):
-    """Attacker sizes negative or above the vulnerable supply."""
+    """Attacker sizes negative or above the vulnerable supply, or q_fraction outside [0, 1]."""
 
 
 @dataclass(frozen=True)
@@ -39,16 +39,24 @@ class AttackerSpec:
     ``initial_nodes`` overrides the sampled initial compromise with an
     explicit set of distinct node ids, which ``engine.init_run`` checks
     against the graph; useful for oracle runs and coupled comparisons.
+
+    ``scale_with_q`` and ``q_fraction`` are how a q sweep moves the attacker
+    (``sweeps.cell_at``): round(q_fraction * x * q) exploits per program, or
+    m3 and m4 unchanged when ``scale_with_q`` is false; a run ignores them.
     """
 
     m3: int
     m4: int
     initial_compromise_size: int
     initial_nodes: tuple[int, ...] | None = None
+    scale_with_q: bool = True
+    q_fraction: float = 0.5
 
     def __post_init__(self) -> None:
         if self.m3 < 0 or self.m4 < 0 or self.initial_compromise_size < 0:
             raise CatalogError("attacker sizes must be non-negative")
+        if not 0.0 <= self.q_fraction <= 1.0:
+            raise CatalogError("attacker.q_fraction outside [0, 1]")
 
 
 def max_catalog(pool: ImplementationPool, q: float) -> tuple[int, int]:

@@ -1,5 +1,6 @@
 """Scenario files and the command line front end."""
 import multiprocessing
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +48,7 @@ def test_load_minimal_scenario(tmp_path):
     assert scn.defender.tau == pytest.approx(1 / 3)
     assert scn.defender.initial_algo is InitialAlgo.DEGREE_PRIORITY
     assert (scn.t_max, scn.runs, scn.seed) == (10, 3, 1)
-    assert cfg.scale_attacker_with_q and cfg.attacker_q_fraction == 0.5
+    assert scn.attacker.scale_with_q and scn.attacker.q_fraction == 0.5
 
 
 def test_load_files_network(tmp_path):
@@ -662,6 +663,31 @@ def test_sweep_out_of_range_grid_exits_two(tmp_path, capsys, grid):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rule", ["  q_fraction: 0.3", "  scale_with_q: false"],
+                         ids=["q_fraction-0.3", "fixed-attacker"])
+@pytest.mark.parametrize("key,grid", [
+    ("q", "0:1:0.5"), ("budget", "0:6:3"), ("x", "2:4:2"), ("m3", "0:2:1"), ("m4", "0:4:2"),
+    ("ini_comp", "1:2:1"), ("tau", "0.2:0.4:0.2"), ("eta1", "0.2:0.6:0.4"),
+])
+def test_sweep_cells_are_cell_at_cells(tmp_path, rule, key, grid):
+    """The cell the CLI runs is ``cell_at``'s cell of the member's variant,
+    whatever attacker rule the scenario file sets."""
+    path = write_config(tmp_path, strategy="[static, proactive, monoculture]", x=10,
+                        extra="  eta1: 0.5\n  eta2: 0.2\n")
+    path.write_text(path.read_text().replace("  ini_comp: 2", "  ini_comp: 2\n" + rule))
+    cfg = load_scenario(path)
+    swept = sweeps.parse_sweep(f"{key}={grid}")
+    values = [int(v) if key in sweeps._INT_KEYS else float(v) for v in swept[1]]
+    pairs, _, _ = sweeps.sweep(cfg, [swept])
+    want = [sweeps.cell_at(sweeps.variant(cfg.scenario, spec), key, v)
+            for spec in cfg.defenders for v in values]
+
+    def as_fields(cell):
+        return [getattr(cell, f.name) for f in fields(cell)]
+
+    assert [as_fields(cell) for cell, _ in pairs] == [as_fields(cell) for cell in want]
+
+
 def test_sweep_multi_key_cartesian(tmp_path):
     cfgp = write_config(tmp_path)
     out = tmp_path / "out"
@@ -719,6 +745,7 @@ FILES_SCENARIO = {
     (("scn.yaml", "l1.edges", "gone.edges"), ["run"], "network file not found: gone.edges"),
     (("scn.yaml", "users.txt", "gone.txt"), ["run"], "network file not found: gone.txt"),
     (("l2.edges", "0 2", "0 x"), ["run"], "l2.edges:1: non-integer id in '0 x'"),
+    (("l2.edges", "0 2", "0 1_0"), ["run"], "l2.edges:1: non-integer id in '0 1_0'"),
     (("users.txt", "2\n", "2\n# late\n-4\n"), ["run"], "users.txt:5: negative user id"),
     (("scn.yaml", "ini_comp: 1", "ini_comp: -1"), ["run"], "attacker sizes must be non-negative"),
     (("scn.yaml", "m3: 1", "m3: 9"), ["run"], "m3=9 exceeds 2 vulnerable OS implementations"),
@@ -728,9 +755,9 @@ FILES_SCENARIO = {
     (("l2.edges", "0 2", "0 2\xe9"), ["run"], "cannot read network file l2.edges:"),
     # the later --config wins
     (None, ["run", "--config", "nets"], "cannot read scenario file nets:"),
-], ids=["missing-layer", "missing-users", "malformed-edge", "negative-user", "ini-comp",
-        "m3-above-supply", "runs-0", "sweep-x-0", "layer-is-directory", "layer-not-utf8",
-        "config-is-directory"])
+], ids=["missing-layer", "missing-users", "malformed-edge", "underscored-edge", "negative-user",
+        "ini-comp", "m3-above-supply", "runs-0", "sweep-x-0", "layer-is-directory",
+        "layer-not-utf8", "config-is-directory"])
 def test_rejected_input_exits_two(tmp_path, capsys, monkeypatch, edit, argv, message):
     # network.files paths resolve against the working directory
     monkeypatch.chdir(tmp_path)

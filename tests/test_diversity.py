@@ -197,6 +197,9 @@ def multi_layer(draw):
 @example(line_graph(30), 1, 0)  # one implementation: all but the ends conflict
 # a triangle with a pendant node: the lowest-degree tie-break decides
 @example(build_graph([Layer.from_edges([(0, 1), (0, 2), (0, 3), (1, 2)])]), 2, 0)
+# an empty layer: a program with no nodes
+@example(build_graph([Layer.from_edges([(0, 1), (1, 2), (0, 2), (2, 3)]), Layer.from_edges([])]),
+         2, 0)
 @settings(max_examples=60, derandomize=True, deadline=None)
 def test_colorings_match_the_node_by_node_sweeps(graph, x, seed):
     pool = ImplementationPool(hbar=graph.hbar, x=x)

@@ -132,7 +132,8 @@ def test_cell_at_q_scales_attacker():
     cells = [sweeps.cell_at(base, "q", q) for q in (0.0, 0.5, 1.0)]
     assert [(c.attacker.m3, c.attacker.m4) for c in cells] == [(0, 0), (1, 1), (2, 2)]
     assert [c.q for c in cells] == [0.0, 0.5, 1.0]
-    fixed = [sweeps.cell_at(base, "q", q, scale_with_q=False) for q in (0.25, 1.0)]
+    fixed_rule = replace(base, attacker=replace(base.attacker, scale_with_q=False))
+    fixed = [sweeps.cell_at(fixed_rule, "q", q) for q in (0.25, 1.0)]
     assert (fixed[0].attacker.m3, fixed[0].attacker.m4) == (1, 1)  # clamped at q=0.25
     assert (fixed[1].attacker.m3, fixed[1].attacker.m4) == (2, 2)
 
@@ -174,8 +175,9 @@ def test_split_budget_is_the_per_program_even_split():
 def test_scaled_q_cell_is_never_clamped(x, hbar, q, q_fraction):
     graph = build_graph([Layer.from_edges([(0, 1)])] * (hbar - 1))
     base = make_scenario(graph, pool=ImplementationPool(hbar=hbar, x=x),
-                         attacker=AttackerSpec(m3=0, m4=0, initial_compromise_size=1))
-    cell = sweeps.cell_at(base, "q", q, q_fraction=q_fraction)
+                         attacker=AttackerSpec(m3=0, m4=0, initial_compromise_size=1,
+                                               q_fraction=q_fraction))
+    cell = sweeps.cell_at(base, "q", q)
     per = int(round(q_fraction * x * q))
     assert (cell.q, cell.attacker.m3, cell.attacker.m4) == (q, per, (hbar - 1) * per)
 
@@ -201,7 +203,8 @@ def test_variant_swaps_defender_only():
 def test_cell_row_and_csv(tmp_path):
     base = small_base()
     trace = sweeps.run_cell(base)
-    row = sweeps.cell_row(base, "q", 1.0, trace, tau=1 / 3)
+    row = sweeps.cell_row(base, "q", 1.0, trace)
+    assert row["tau"] == base.defender.tau == pytest.approx(1 / 3)
     assert row["strategy"] == "static"
     assert row["x"] == 4 and row["m3"] == 2
     assert row["swept_key"] == "q"
@@ -234,7 +237,7 @@ def test_vt_reactive_dominates_static():
         DefenderSpec(Strategy.STATIC, tau=0.45, initial_algo=InitialAlgo.RANDOM),
         DefenderSpec(Strategy.REACTIVE_ADAPTIVE, tau=0.45, fpr=0.0, fnr=0.0),
     )
-    cfg = LoadedConfig(small_base(), specs, scale_attacker_with_q=True, attacker_q_fraction=0.5)
+    cfg = LoadedConfig(small_base(), specs)
     _, _, summary = sweeps.sweep(cfg, [("q", np.array([0.0, 0.5, 1.0]))])
     out = {name: value for name, _, metric, value, _ in summary if metric == "vt"}
     assert out["reactive"] >= out["static"]

@@ -48,6 +48,15 @@ def test_layer_rejects_negative_ids():
 
 # --- graph construction --------------------------------------------------------
 
+@pytest.mark.parametrize("layer,users", [
+    (Layer.from_edges([(0, 1)]), [-1, 0, 1]),
+    (Layer.from_edges([(0, 1)], participants=[-1, 0, 1]), None),
+], ids=["users", "participants"])
+def test_graph_rejects_negative_user_ids(layer, users):
+    with pytest.raises(NetworkError, match="negative user id"):
+        build_graph([layer], users=users)
+
+
 def test_single_isolated_user_gets_app_and_os():
     g = build_graph([Layer.from_edges([], participants=[4])])
     assert g.n_computers == 1
@@ -384,12 +393,33 @@ def test_edge_file_skips_comments_and_blanks(tmp_path):
     assert read_id_file(path, 2).tolist() == [[1, 2], [3, 4]]
 
 
-@pytest.mark.parametrize("body", ["1 2 3\n", "a b\n", "-1 2\n", "1 9223372036854775808\n"])
+@pytest.mark.parametrize("body", ["1 2 3\n", "a b\n", "-1 2\n", "1 9223372036854775808\n",
+                                  "1_000 2\n", "\u0663 2\n", "+1 2\n"])
 def test_edge_file_rejects_malformed_lines(tmp_path, body):
     path = tmp_path / "bad.edges"
     path.write_text(body)
     with pytest.raises(NetworkError):
         read_id_file(path, 2)
+
+
+@pytest.mark.parametrize("body,message", [
+    ("1 2\n3 " + "9" * 5000 + "\n", "bad.edges:2: user id does not fit in int64"),
+    ("-" + "9" * 5000 + " 2\n", "bad.edges:1: negative user id"),
+    ("1 \u0663\n", "bad.edges:1: non-integer id in '1 \u0663'"),
+], ids=["long-digit-run", "long-negative", "arabic-indic-digit"])
+def test_id_file_messages(tmp_path, body, message):
+    # a digit run past int()'s 4300-digit limit still gets the int64 or negative message
+    path = tmp_path / "bad.edges"
+    path.write_text(body)
+    with pytest.raises(NetworkError) as err:
+        read_id_file(path, 2)
+    assert str(err.value) == f"{path.parent}/{message}"
+
+
+def test_id_file_leading_zeros_are_one_id(tmp_path):
+    path = tmp_path / "zeros.edges"
+    path.write_text("0" * 5000 + "7 00\n")
+    assert read_id_file(path, 2).tolist() == [[7, 0]]
 
 
 def test_users_file(tmp_path):
