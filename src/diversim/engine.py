@@ -103,22 +103,29 @@ class PrebuiltNetwork:
     graph: CommGraph
 
 
-def resolve_graph(network) -> CommGraph:
+def resolve_graph(network, memo: dict | None = None) -> CommGraph:
+    """The graph of a network source; with a ``memo`` (one per command, see
+    ``sweeps._run_cells``), the graph it already holds for an equal source."""
+    if memo is not None and network in memo:
+        return memo[network]
     if isinstance(network, PrebuiltNetwork):
         return network.graph
     if isinstance(network, NetworkFiles):
         layers, users = load_network_files(network.layer_paths, network.users_path)
-        return build_graph(layers, users)
-    if isinstance(network, SyntheticNetwork):
-        layers = generate_synthetic_network(
+    elif isinstance(network, SyntheticNetwork):
+        layers, users = generate_synthetic_network(
             network.n_layer1,
             network.n_layer2,
             network.overlap_fraction,
             network.attachment_degree,
             network.seed,
-        )
-        return build_graph(layers)
-    raise TypeError(f"unknown network source {type(network).__name__}")
+        ), None
+    else:
+        raise TypeError(f"unknown network source {type(network).__name__}")
+    graph = build_graph(layers, users)
+    if memo is not None:
+        memo[network] = graph
+    return graph
 
 
 # --- scenario -----------------------------------------------------------------
@@ -472,11 +479,14 @@ def run(
 
 # --- Monte Carlo --------------------------------------------------------------
 
-def _shared_coloring(scenario: Scenario, graph: CommGraph) -> np.ndarray | None:
-    # degree-priority is deterministic given graph and pool: compute once
-    if scenario.defender.initial_algo is InitialAlgo.DEGREE_PRIORITY:
-        return degree_priority_assignment(graph, scenario.pool)[0]
-    return None
+def _shared_coloring(scenario: Scenario, graph: CommGraph, memo: dict) -> np.ndarray | None:
+    # degree-priority is deterministic given graph and pool: compute once per memo
+    if scenario.defender.initial_algo is not InitialAlgo.DEGREE_PRIORITY:
+        return None
+    key = (scenario.network, scenario.pool)
+    if key not in memo:
+        memo[key] = degree_priority_assignment(graph, scenario.pool)[0]
+    return memo[key]
 
 
 def _run_chunk(payload) -> list[Trace]:
@@ -513,8 +523,10 @@ def monte_carlo(
     jobs: int = 1,
     collect: bool = False,
     pool: ProcessPoolExecutor | None = None,
+    memo: dict | None = None,
 ) -> MeanTrace | tuple[MeanTrace, list[Trace]]:
-    """Run the ensemble and average it.
+    """Run the ensemble and average it, on one ``resolve_graph`` of its network
+    and one degree-priority coloring, shared through ``memo`` if one is given.
 
     The runs are split into ``min(jobs, runs)`` chunks in run-index order.
     Several chunks run on ``pool``, or on a pool from ``worker_pool`` that
@@ -523,8 +535,9 @@ def monte_carlo(
     and the mean reduces them in run-index order, so the result is
     identical for every ``jobs`` value and every pool.
     """
-    graph = resolve_graph(scenario.network)
-    fixed = _shared_coloring(scenario, graph)
+    memo = {} if memo is None else memo
+    graph = resolve_graph(scenario.network, memo)
+    fixed = _shared_coloring(scenario, graph, memo)
     chunks = np.array_split(np.arange(scenario.runs), max(jobs, 1))
     payloads = [(scenario, graph, c.tolist(), fixed) for c in chunks if c.size]
     if len(payloads) == 1:

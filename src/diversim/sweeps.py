@@ -101,9 +101,10 @@ def cell_at(base: Scenario, key: str, value) -> Scenario:
 
 
 def run_cell(
-    scenario: Scenario, jobs: int = 1, pool: ProcessPoolExecutor | None = None
+    scenario: Scenario, jobs: int = 1, pool: ProcessPoolExecutor | None = None, memo=None
 ) -> MeanTrace:
-    return monte_carlo(scenario, jobs=jobs, pool=pool)
+    """The cell's ``monte_carlo`` mean on the command's pool and memo, once its runs end."""
+    return monte_carlo(scenario, jobs=jobs, pool=pool, memo=memo)
 
 
 # --- cell expansion -------------------------------------------------------------
@@ -144,15 +145,18 @@ def _run_cells(cells: Sequence[Scenario], jobs: int) -> list[MeanTrace]:
     a family share network, t_max, runs, seed and defender order.
 
     Every call shares one pool of ``min(jobs, runs)`` workers
-    (``engine.worker_pool``, none at 1), shut down on return or failure.
+    (``engine.worker_pool``, none at 1), shut down on return or failure, and
+    one memo: each network is resolved and each degree-priority coloring
+    computed once per (network, pool), then dropped on return.
     """
     keys = [(c.pool, c.q, c.attacker, replace(c.defender, tau=0.0)) for c in cells]
     means: dict[tuple, MeanTrace] = {}
+    memo: dict = {}
     pool = worker_pool(jobs, cells[0].runs)
     with pool or nullcontext():
         for cell, key in zip(cells, keys):
             if key not in means:
-                means[key] = run_cell(cell, jobs=jobs, pool=pool)
+                means[key] = run_cell(cell, jobs=jobs, pool=pool, memo=memo)
     return [means[key] for key in keys]
 
 

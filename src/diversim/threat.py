@@ -38,7 +38,8 @@ class AttackerSpec:
 
     ``initial_nodes`` overrides the sampled initial compromise with an
     explicit set of distinct node ids, which ``engine.init_run`` checks
-    against the graph; useful for oracle runs and coupled comparisons.
+    against the graph; useful for oracle runs and coupled comparisons. It is
+    kept as a tuple of ints, so that the spec hashes.
 
     ``scale_with_q`` and ``q_fraction`` are how a q sweep moves the attacker
     (``sweeps.cell_at``): round(q_fraction * x * q) exploits per program, or
@@ -57,6 +58,8 @@ class AttackerSpec:
             raise CatalogError("attacker sizes must be non-negative")
         if not 0.0 <= self.q_fraction <= 1.0:
             raise CatalogError("attacker.q_fraction outside [0, 1]")
+        if self.initial_nodes is not None:
+            object.__setattr__(self, "initial_nodes", tuple(map(int, self.initial_nodes)))
 
 
 def max_catalog(pool: ImplementationPool, q: float) -> tuple[int, int]:

@@ -1,12 +1,12 @@
 """Scenario files and the command line front end."""
 import multiprocessing
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from diversim import ConfigError, InitialAlgo, Strategy, engine, load_scenario, sweeps
+from diversim import AttackerSpec, ConfigError, InitialAlgo, Strategy, engine, load_scenario, sweeps
 from diversim.cli import main
 from diversim.engine import NetworkFiles, SyntheticNetwork, resolve_graph
 
@@ -420,14 +420,74 @@ def test_run_snapshot_builds_the_network_once(tmp_path, monkeypatch):
     extra = "  fpr: 0.1\n  fnr: 0.1\n"
     cfgp = write_config(tmp_path, strategy="[static, reactive, monoculture]", extra=extra)
     assert main(["run", "--config", str(cfgp), "--out", str(tmp_path / "a")]) == 0
-    # one ensemble per member
-    assert len(calls) == 3
+    # one graph for every member's ensemble
+    assert len(calls) == 1
     assert main(["run", "--config", str(cfgp), "--out", str(tmp_path / "b"), "--snapshot"]) == 0
-    # and one graph for all of the snapshots
-    assert len(calls) == 3 + 4
+    # and one more for all of the snapshots
+    assert len(calls) == 1 + 2
 
 
 # --- sweep -----------------------------------------------------------------------------
+
+def count_network_work(monkeypatch) -> dict:
+    """Calls of the functions that read, build or degree-priority color a network."""
+    calls = dict.fromkeys(("load_network_files", "build_graph", "degree_priority_assignment"), 0)
+    for name in calls:
+        def counting(*args, _name=name, _real=getattr(engine, name)):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(engine, name, counting)
+    return calls
+
+
+def files_network_config(tmp_path, strategy):
+    net = tmp_path / "net"
+    assert main(["gen-network", "--out", str(net), "--n1", "20", "--n2", "15",
+                 "--overlap", "0.4", "--attachment", "2", "--seed", "5"]) == 0
+    path = write_config(tmp_path, strategy=strategy, name="files.yaml")
+    files = (f"  files: {{layers: [{net}/layer1.edges, {net}/layer2.edges], "
+             f"users: {net}/users.txt}}\n")
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(files if ln.lstrip().startswith("synthetic:") else ln for ln in lines))
+    return path
+
+
+@pytest.mark.parametrize("network,strategy,grid,want", [
+    # both members color the one graph by degree priority at the one x
+    ("synthetic", "[static, reactive]", "q=0.5:1:0.5", (0, 1, 1)),
+    # one coloring per pool: x = 2, 3, 4 and the monoculture member's x = 1
+    ("synthetic", "[static, monoculture]", "x=2:4:1", (0, 1, 4)),
+    ("files", "static", "q=0.5:1:0.5", (1, 1, 1)),
+])
+def test_sweep_builds_each_network_once_and_colors_once_per_pool(
+        tmp_path, monkeypatch, network, strategy, grid, want):
+    calls = count_network_work(monkeypatch)
+    if network == "files":
+        cfgp = files_network_config(tmp_path, strategy)
+    else:
+        cfgp = write_config(tmp_path, strategy=strategy, extra="  fpr: 0.1\n  fnr: 0.1\n")
+    outs = {}
+    for jobs in ("1", "2"):
+        calls.update(dict.fromkeys(calls, 0))
+        outs[jobs] = tmp_path / f"jobs{jobs}"
+        assert main(["sweep", "--config", str(cfgp), "--out", str(outs[jobs]),
+                     "--sweep", grid, "--jobs", jobs]) == 0
+        assert tuple(calls.values()) == want
+    for name in ("sweep.csv", "summary.csv"):
+        assert (outs["1"] / name).read_bytes() == (outs["2"] / name).read_bytes()
+
+
+def test_sweep_takes_initial_nodes_as_a_list(tmp_path, monkeypatch):
+    calls = count_run_cells(monkeypatch)
+    cfg = load_scenario(write_config(tmp_path))
+    attacker = AttackerSpec(m3=1, m4=2, initial_compromise_size=2, initial_nodes=[1, 2, 3])
+    assert attacker.initial_nodes == (1, 2, 3)
+    cfg = replace(cfg, scenario=replace(cfg.scenario, attacker=attacker))
+    _, rows, _ = sweeps.sweep(cfg, [sweeps.parse_sweep("tau=0.1:0.3:0.1")])
+    # static and its monoculture twin, each shared by the three tau cells
+    assert len(calls) == 2 and len(rows) == 6
+    assert all(cell.attacker.initial_nodes == (1, 2, 3) for cell in calls)
+
 
 def test_sweep_tau_adds_baseline_and_slowdown(tmp_path):
     cfgp = write_config(tmp_path)
