@@ -19,6 +19,7 @@ id within a pass and effects applied between passes. The three acting sets
 are fixed before any pass, so nodes falling in a step do not act in it. This
 is a deterministic linearization of concurrently acting agents; pass effects
 are idempotent, so within a pass the host order cannot change the outcome.
+``_mark_compromised`` records every compromise, the footholds at t=0 included.
 
 State lives in flat numpy arrays indexed by node id, and a step is a
 handful of vectorized operations with no loop over agents. Discovery and
@@ -71,10 +72,13 @@ from .threat import (
 
 logger = logging.getLogger(__name__)
 
-# after this many steps without new compromises or fresh attacker knowledge a
-# non-acting defender's run has reached a fixed point: in any four steps in a
-# row, (t - since) mod 4 takes every value, so every agent has discovered,
-# escalated and moved to no effect, and the remaining trace rows repeat verbatim
+# a non-acting defender's run that goes this many steps in a row without a new
+# compromise has reached a fixed point, and its remaining rows repeat verbatim:
+# in four steps every agent discovers, escalates and moves. ``installed`` never
+# changes, so knowledge never goes stale, and a node v discovered afresh at step
+# d has only compromised neighbors that fell at d-2 or later (an older one would
+# have found v first); each first moves 4 steps after it fell, after d and inside
+# the same quiet steps, so v would already have fallen if it could.
 _QUIET_LIMIT = 4
 
 
@@ -230,7 +234,6 @@ class RunState:
     rng_redeploy: np.random.Generator
     rng_proactive: np.random.Generator
     trace: Trace
-    quiet_steps: int = 0
 
     @property
     def pool(self) -> ImplementationPool:
@@ -298,11 +301,6 @@ def init_run(
             scenario.attacker.initial_compromise_size,
             substream(scenario.seed, run_index, Purpose.INITIAL_COMPROMISE),
         )
-    state[ini] = COMPROMISED
-
-    knowledge = AttackerKnowledge.empty(graph.n_nodes)
-    knowledge.observe(ini, installed)
-
     rs = RunState(
         scenario=scenario,
         graph=graph,
@@ -311,22 +309,26 @@ def init_run(
         state=state,
         privesc_mask=privesc_mask,
         lateral_mask=lateral_mask,
-        knowledge=knowledge,
-        # the footholds fall at t=0; other entries are read only while compromised
+        knowledge=AttackerKnowledge.empty(graph.n_nodes),
+        # entries are read only while compromised
         since=np.zeros(graph.n_nodes, dtype=np.int32),
         rng_detector=substream(scenario.seed, run_index, Purpose.DETECTOR),
         rng_redeploy=substream(scenario.seed, run_index, Purpose.REDEPLOY),
         rng_proactive=substream(scenario.seed, run_index, Purpose.PROACTIVE_SAMPLE),
         trace=Trace.zeros(graph.n_computers, scenario.t_max + 1),
     )
-    rs.trace.new_compromised[0] = ini.size
+    _mark_compromised(rs, ini, 0)
     _record_frame(rs, 0)
     return rs
 
 
 def _mark_compromised(rs: RunState, nodes: np.ndarray, t: int) -> None:
+    """Record the distinct, not yet compromised ``nodes`` falling at step t."""
+    if not nodes.size:
+        return
     rs.state[nodes] = COMPROMISED
     rs.since[nodes] = t
+    rs.trace.new_compromised[t] += nodes.size
     # the attacker controls these nodes now; its information on them is current
     rs.knowledge.observe(nodes, rs.installed)
 
@@ -359,9 +361,8 @@ def _reached(
     return np.flatnonzero(mark)
 
 
-def _attack_substep(rs: RunState, t: int) -> int:
+def _attack_substep(rs: RunState, t: int) -> None:
     g = rs.graph
-    new = fresh = 0
     hosts = np.flatnonzero(rs.state == COMPROMISED)
     age = (t - rs.since[hosts]) & 3
     discovering = hosts[age == 2]
@@ -373,7 +374,7 @@ def _attack_substep(rs: RunState, t: int) -> int:
         def stale(v: np.ndarray | slice) -> np.ndarray:
             return rs.knowledge.impl[v] != rs.installed[v]
 
-        fresh += rs.knowledge.observe(_reached(g, discovering, stale), rs.installed)
+        rs.knowledge.observe(_reached(g, discovering, stale), rs.installed)
     if escalating.size:
         apps = escalating[g.is_app[escalating]]
         if apps.size:
@@ -385,9 +386,7 @@ def _attack_substep(rs: RunState, t: int) -> int:
                 (rs.state[os_targets] == VULNERABLE)
                 & rs.privesc_mask[rs.installed[os_targets]]
             ]
-            if hit.size:
-                _mark_compromised(rs, hit, t)
-                new += hit.size
+            _mark_compromised(rs, hit, t)
     if moving.size:
         def exploitable(v: np.ndarray | slice) -> np.ndarray:
             inst = rs.installed[v]
@@ -397,30 +396,21 @@ def _attack_substep(rs: RunState, t: int) -> int:
                 & rs.lateral_mask[g.program[v], inst]
             )
 
-        hit = _reached(g, moving, exploitable)
-        if hit.size:
-            _mark_compromised(rs, hit, t)
-            new += hit.size
+        _mark_compromised(rs, _reached(g, moving, exploitable), t)
 
     # a compromised OS takes all of its applications down in the same step;
     # the OS node padding a computer's missing slots is compromised itself
     apps = g.slot_node[:-1, rs.state[g.slot_node[-1]] == COMPROMISED].ravel()
-    spread = apps[rs.state[apps] != COMPROMISED]
-    if spread.size:
-        _mark_compromised(rs, spread, t)
-        new += spread.size
-    rs.quiet_steps = 0 if new or fresh else rs.quiet_steps + 1
-    return new
+    _mark_compromised(rs, apps[rs.state[apps] != COMPROMISED], t)
 
 
-def _defense_substep(rs: RunState, t: int) -> float:
+def _defense_substep(rs: RunState, t: int) -> None:
     spec = rs.scenario.defender
     nodes = _defense_mod.plan(spec, t, rs.state, rs.graph, rs.rng_detector, rs.rng_proactive)
     if nodes.size:
-        return _defense_mod.redeploy(
+        rs.trace.oc[t] = _defense_mod.redeploy(
             rs.graph, rs.pool, rs.vulnerable, rs.installed, rs.state, nodes, rs.rng_redeploy
         )
-    return 0.0
 
 
 def _record_frame(rs: RunState, t: int) -> None:
@@ -435,13 +425,11 @@ def _record_frame(rs: RunState, t: int) -> None:
 def step(rs: RunState, t: int) -> None:
     """Advance one time step, filling trace row t."""
     if rs.scenario.defender_first:
-        oc = _defense_substep(rs, t)
-        new = _attack_substep(rs, t)
+        _defense_substep(rs, t)
+        _attack_substep(rs, t)
     else:
-        new = _attack_substep(rs, t)
-        oc = _defense_substep(rs, t)
-    rs.trace.oc[t] = oc
-    rs.trace.new_compromised[t] = new
+        _attack_substep(rs, t)
+        _defense_substep(rs, t)
     _record_frame(rs, t)
 
 
@@ -455,21 +443,22 @@ def run(
     """Execute one seeded run and return its trace.
 
     With a non-acting defender the loop stops early once the attack has
-    provably saturated (no new compromise or knowledge for a full phase
-    cycle) and repeats the final row; a ``step_callback`` disables the
-    shortcut so instrumented runs see every step.
+    provably saturated (trace rows t-3..t record no new compromise, see
+    ``_QUIET_LIMIT``) and repeats the final row; a ``step_callback``
+    disables the shortcut so instrumented runs see every step.
     """
     rs = init_run(scenario, run_index, graph=graph, fixed_installed=fixed_installed)
     if step_callback is not None:
         step_callback(rs, 0)
     passive = not scenario.defender.acts
+    tr = rs.trace
     for t in range(1, scenario.t_max + 1):
         step(rs, t)
         if step_callback is not None:
             step_callback(rs, t)
-        elif passive and rs.quiet_steps >= _QUIET_LIMIT and t < scenario.t_max:
+        elif (passive and _QUIET_LIMIT <= t < scenario.t_max
+              and not tr.new_compromised[t - _QUIET_LIMIT + 1:t + 1].any()):
             # oc and new_compromised of the remaining rows stay zero
-            tr = rs.trace
             for counts in (tr.cc_count, tr.vc_count, tr.ic_count):
                 counts[t + 1:] = counts[t]
             logger.debug("run %d saturated at t=%d", run_index, t)

@@ -49,14 +49,12 @@ def variant(base: Scenario, defender: DefenderSpec) -> Scenario:
     return replace(base, defender=defender)
 
 
-def monoculture_baseline(base: Scenario, defender: DefenderSpec | None = None) -> Scenario:
+def monoculture_baseline(base: Scenario) -> Scenario:
     """The undiversified twin of a scenario: one implementation per program,
     attacker budget clamped to what a single implementation can absorb."""
-    if defender is None:
-        defender = DefenderSpec(
-            Strategy.MONOCULTURE, tau=base.defender.tau, initial_algo=InitialAlgo.RANDOM
-        )
-    return variant(base, defender)
+    return variant(base, DefenderSpec(
+        Strategy.MONOCULTURE, tau=base.defender.tau, initial_algo=InitialAlgo.RANDOM
+    ))
 
 
 def split_budget(total: int, hbar: int) -> tuple[int, int]:

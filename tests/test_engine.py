@@ -169,13 +169,26 @@ def test_static_compromise_monotone():
         assert (prev <= cur).all()
 
 
-def test_early_exit_matches_instrumented_run():
-    # the passive-defender shortcut must not change the recorded trace
-    scn = path_scenario(t_max=40)
-    plain = run(scn, 0)
-    full = run(scn, 0, step_callback=lambda rs, t: None)
-    for name in ("cc_count", "vc_count", "ic_count", "oc", "new_compromised"):
-        assert np.array_equal(getattr(plain, name), getattr(full, name)), name
+def test_early_exit_matches_instrumented_run(monkeypatch):
+    # the passive-defender shortcut must not change the recorded trace, and
+    # it stops at the first step closing four rows without a new compromise
+    cases = [
+        # the last OS falls at t=11
+        (path_scenario(t_max=40), 15),
+        # no exploits: the foothold's discovery at t=2 is fresh knowledge,
+        # but its move at t=4 finds nothing, so the run stops there
+        (path_scenario(attacker=AttackerSpec(0, 0, 1, initial_nodes=(0,)), t_max=20), 4),
+    ]
+    calls = []
+    step = engine.step
+    monkeypatch.setattr(engine, "step", lambda rs, t: calls.append(t) or step(rs, t))
+    for scn, want in cases:
+        calls.clear()
+        plain = run(scn, 0)
+        assert len(calls) == want
+        full = run(scn, 0, step_callback=lambda rs, t: None)
+        for name in ("cc_count", "vc_count", "ic_count", "oc", "new_compromised"):
+            assert np.array_equal(getattr(plain, name), getattr(full, name)), name
 
 
 def test_redeployed_nodes_come_back_clean():

@@ -199,6 +199,11 @@ def test_engine_matches_reference_stepper(strategy, defender_first, case):
         if t:
             ref.step(t)
         assert_same_state(rs, ref, t)
+        # every node that fell at t is counted in row t; acting after the
+        # attacker, the defender may clean a node that fell in the same step
+        fell = np.count_nonzero((rs.since == t) & (rs.state == COMPROMISED))
+        new = rs.trace.new_compromised[t]
+        assert (fell == new if defender_first else fell <= new), t
 
     traced = run(scn, case.run_index, graph=graph, step_callback=check)
     assert len(ref.rows) == scn.t_max + 1
