@@ -114,7 +114,10 @@ def detect(state: np.ndarray, fpr: float, fnr: float, rng: np.random.Generator) 
     """Flagged node ids, ascending: a compromised node is flagged with
     probability 1 - fnr, any other node with probability fpr."""
     u = rng.random(state.shape[0])
-    return np.flatnonzero(u < np.where(state == COMPROMISED, 1.0 - fnr, fpr))
+    flagged = u < fpr
+    compromised = np.flatnonzero(state == COMPROMISED)
+    flagged[compromised] = u[compromised] < 1.0 - fnr
+    return np.flatnonzero(flagged)
 
 
 def plan(

@@ -26,8 +26,11 @@ handful of vectorized operations with no loop over agents. Discovery and
 lateral movement find their targets from whichever side is cheaper: they
 push from the acting agents' adjacency lists, or, when those lists hold
 more entries than there are nodes and than the lists of the nodes that can
-still be hit, pull from the latter. Either way a step costs about the
-smaller of the two, not the agents' whole adjacency. The computer-level
+still be hit, pull from the latter. A push marks the nodes on those lists
+and tests each marked node once. Either way a step costs about the
+smaller of the two, not the agents' whole adjacency. Once a frame shows no
+compromised computer, no agent is left and no later step can compromise a
+node, so ``step`` skips the attack substep from then on. The computer-level
 frame and the OS spread read the graph's slot table (``slot_node``, one
 node per program and computer): the frame reduces the gathered states over
 programs, and the spread gathers only the computers whose OS is
@@ -340,7 +343,8 @@ def _reached(
     in ``sources`` (distinct node ids). ``admits`` takes node ids, or
     ``slice(None)`` for every node.
 
-    Push gathers the sources' lists and keeps the admitted entries. Pull
+    Push marks the nodes on the sources' lists and keeps the admitted ones,
+    so ``admits`` sees each reached node once, in ascending order. Pull
     scans every node for the admitted ones and keeps those whose own list
     holds a source; it runs only when the sources' entries outnumber both
     that scan and the admitted nodes' entries (direction-optimizing BFS,
@@ -356,9 +360,9 @@ def _reached(
             mark[sources] = True
             hit = mark[gather_neighbors(g.indptr, g.indices, cand)]
             return cand[np.logical_or.reduceat(hit, np.cumsum(deg) - deg)] if cand.size else cand
-    nbrs = gather_neighbors(g.indptr, g.indices, sources)
-    mark[nbrs[admits(nbrs)]] = True
-    return np.flatnonzero(mark)
+    mark[gather_neighbors(g.indptr, g.indices, sources)] = True
+    reached = np.flatnonzero(mark)
+    return reached[admits(reached)]
 
 
 def _attack_substep(rs: RunState, t: int) -> None:
@@ -426,9 +430,11 @@ def step(rs: RunState, t: int) -> None:
     """Advance one time step, filling trace row t."""
     if rs.scenario.defender_first:
         _defense_substep(rs, t)
+    # every node is in the frame, so a frame with no compromised computer
+    # leaves no agent, and redeploy compromises nothing: the attack has died
+    if rs.trace.cc_count[t - 1]:
         _attack_substep(rs, t)
-    else:
-        _attack_substep(rs, t)
+    if not rs.scenario.defender_first:
         _defense_substep(rs, t)
     _record_frame(rs, t)
 

@@ -225,12 +225,12 @@ def build_graph(layers: Sequence[Layer], users: Iterable[int] | None = None) -> 
 
 def gather_neighbors(indptr: np.ndarray, indices: np.ndarray, hosts: np.ndarray) -> np.ndarray:
     """Concatenated neighbor lists for ``hosts`` without a Python loop."""
-    counts = indptr[hosts + 1] - indptr[hosts]
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=indices.dtype)
-    cum = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    pos = np.arange(total, dtype=np.int64) - np.repeat(cum, counts) + np.repeat(indptr[hosts], counts)
+    start = indptr[hosts]
+    counts = indptr[hosts + 1] - start
+    ends = np.cumsum(counts)
+    # output entry ends[h] - counts[h] + j, the j-th of host h, is read from
+    # indptr[h] + j: its own position plus that host's offset
+    pos = np.repeat(start - ends + counts, counts) + np.arange(ends[-1] if ends.size else 0)
     return indices[pos]
 
 

@@ -93,13 +93,16 @@ def test_detect_extreme_rates():
     "fpr,fnr", [(0.1, 0.2), (0.9, 0.9), (0.0, 0.0), (1.0, 1.0), (0.0, 1.0), (1.0, 0.0)]
 )
 def test_detect_matches_the_two_compare_formula(fpr, fnr):
-    state = np.random.default_rng(3).choice(
+    mixed = np.random.default_rng(3).choice(
         [VULNERABLE, COMPROMISED, INVULNERABLE], size=5000
     ).astype(np.int8)
-    got = detect(state, fpr, fnr, np.random.default_rng(11))
-    u = np.random.default_rng(11).random(state.size)
-    want = np.flatnonzero(np.where(state == COMPROMISED, u < 1.0 - fnr, u < fpr))
-    assert np.array_equal(got, want)
+    # an all-clean and an all-compromised state each compare on one side only
+    clean = np.where(mixed == COMPROMISED, VULNERABLE, mixed).astype(np.int8)
+    for state in (mixed, clean, np.full_like(mixed, COMPROMISED)):
+        got = detect(state, fpr, fnr, np.random.default_rng(11))
+        u = np.random.default_rng(11).random(state.size)
+        want = np.flatnonzero(np.where(state == COMPROMISED, u < 1.0 - fnr, u < fpr))
+        assert np.array_equal(got, want)
 
 
 def test_detect_rates_converge():

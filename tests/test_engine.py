@@ -1,4 +1,5 @@
 """Simulation loop: scheduling oracle, determinism, invariants, ensembles."""
+import itertools
 from types import SimpleNamespace
 
 import numpy as np
@@ -21,6 +22,7 @@ from diversim import (
     Strategy,
     SyntheticNetwork,
     build_graph,
+    generate_synthetic_network,
     mean_of,
     monte_carlo,
     run,
@@ -178,6 +180,9 @@ def test_early_exit_matches_instrumented_run(monkeypatch):
         # no exploits: the foothold's discovery at t=2 is fresh knowledge,
         # but its move at t=4 finds nothing, so the run stops there
         (path_scenario(attacker=AttackerSpec(0, 0, 1, initial_nodes=(0,)), t_max=20), 4),
+        # no foothold: the fixed point is t=0, and the run stops at the first
+        # step that may close four quiet rows
+        (path_scenario(attacker=AttackerSpec(1, 1, 0), t_max=20), 4),
     ]
     calls = []
     step = engine.step
@@ -189,6 +194,50 @@ def test_early_exit_matches_instrumented_run(monkeypatch):
         full = run(scn, 0, step_callback=lambda rs, t: None)
         for name in ("cc_count", "vc_count", "ic_count", "oc", "new_compromised"):
             assert np.array_equal(getattr(plain, name), getattr(full, name)), name
+
+
+@pytest.mark.parametrize("defender_first", [True, False], ids=["defender-first", "attacker-first"])
+def test_attack_substep_runs_only_after_a_frame_with_a_compromised_computer(
+    monkeypatch, defender_first
+):
+    g = build_graph(generate_synthetic_network(30, 25, 0.5, 3, seed=1))
+    scn = make_scenario(
+        g,
+        pool=ImplementationPool(hbar=g.hbar, x=4),
+        attacker=AttackerSpec(m3=4, m4=4, initial_compromise_size=3),
+        defender=DefenderSpec(Strategy.REACTIVE_ADAPTIVE, fpr=0.1, fnr=0.8),
+        defender_first=defender_first,
+        t_max=40,
+        runs=1,
+    )
+    calls = []
+    attack = engine._attack_substep
+    monkeypatch.setattr(engine, "_attack_substep", lambda rs, t: calls.append(t) or attack(rs, t))
+    trace = run(scn, 0)
+    assert calls == [t for t in range(1, scn.t_max + 1) if trace.cc_count[t - 1] > 0]
+    # the attack spread before it died, and the steps after its death were skipped
+    assert trace.new_compromised[1:].any()
+    assert len(calls) < scn.t_max
+
+
+def test_push_admits_each_reached_node_once(overlap_graph):
+    """A push marks the sources' lists, then asks ``admits`` about each
+    reached node once, in ascending order."""
+    g = overlap_graph
+    for k in (1, 2, 3):
+        for sources in itertools.combinations(range(g.n_nodes), k):
+            sources = np.array(sources, dtype=np.int64)
+            assert g.degree[sources].sum() <= g.n_nodes  # so _reached pushes
+            asked = []
+
+            def admits(v):
+                asked.append(v)
+                return v % 2 == 0
+
+            got = engine._reached(g, sources, admits)
+            reached = sorted({int(w) for v in sources for w in reference.neighbors(g, int(v))})
+            assert [a.tolist() for a in asked] == [reached]
+            assert got.tolist() == [v for v in reached if v % 2 == 0]
 
 
 def test_redeployed_nodes_come_back_clean():

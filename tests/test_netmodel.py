@@ -181,6 +181,36 @@ def test_gather_neighbors_matches_per_node_lookup(overlap_graph):
     assert empty.size == 0
 
 
+@st.composite
+def csr_hosts(draw):
+    """A CSR over some linked nodes and one to three isolated ones, in either
+    index dtype, and hosts that may repeat, with isolated hosts drawn in
+    first, in the middle and last; the hosts may be empty."""
+    linked = draw(st.integers(1, 8))
+    n = linked + draw(st.integers(1, 3))
+    ids = draw(st.permutations(range(n)))
+    pairs = [(ids[i], ids[j]) for i in range(linked) for j in range(i + 1, linked)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    indptr, indices = _csr(n, np.array(edges, dtype=np.int64).reshape(-1, 2))
+    indices = indices.astype(draw(st.sampled_from([np.int64, np.int32])))
+    hosts = draw(st.lists(st.integers(0, n - 1), max_size=10))
+    # last first, so each position still refers to the drawn list
+    for at in (len(hosts), len(hosts) // 2, 0):
+        if draw(st.booleans()):
+            hosts.insert(at, draw(st.sampled_from(ids[linked:])))
+    return indptr, indices, np.array(hosts, dtype=np.int64)
+
+
+@given(csr_hosts())
+@settings(max_examples=150, derandomize=True, deadline=None)
+def test_gather_neighbors_concatenates_the_hosts_slices(case):
+    indptr, indices, hosts = case
+    got = gather_neighbors(indptr, indices, hosts)
+    want = np.concatenate([indices[:0]] + [indices[indptr[h]:indptr[h + 1]] for h in hosts])
+    assert got.dtype == indices.dtype
+    assert np.array_equal(got, want)
+
+
 @given(st.integers(0, 2**31 - 1), st.integers(2, 30), st.integers(2, 30))
 @settings(max_examples=25, deadline=None)
 def test_random_two_layer_graphs_well_formed(seed, n1, n2):
