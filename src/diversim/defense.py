@@ -166,5 +166,7 @@ def redeploy(
             r = rng.integers(0, pool.x - 1, size=nodes.size)
             inst = r + (r >= inst)
             installed[nodes] = inst
-        state[nodes] = np.where(vulnerable[graph.program[nodes], inst], VULNERABLE, INVULNERABLE)
+        # one flat lookup; program * x would overflow int16 at x >= 16,384
+        codes = np.where(vulnerable, VULNERABLE, INVULNERABLE).astype(np.int8).ravel()
+        state[nodes] = codes[graph.program[nodes].astype(np.intp) * pool.x + inst]
     return nodes.size / graph.n_nodes

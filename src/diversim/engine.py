@@ -30,11 +30,12 @@ still be hit, pull from the latter. A push marks the nodes on those lists
 and tests each marked node once. Either way a step costs about the
 smaller of the two, not the agents' whole adjacency. Once a frame shows no
 compromised computer, no agent is left and no later step can compromise a
-node, so ``step`` skips the attack substep from then on. The computer-level
-frame and the OS spread read the graph's slot table (``slot_node``, one
-node per program and computer): the frame reduces the gathered states over
-programs, and the spread gathers only the computers whose OS is
-compromised.
+node, so ``step`` skips the attack substep from then on. Only
+``_mark_compromised`` and ``redeploy`` write ``state``, so a step in which
+neither changes a node repeats the previous frame. The computer-level frame
+and the OS spread read the graph's slot table (``slot_node``, one node per
+program and computer): the frame reduces the gathered states over programs,
+and the spread gathers only the computers whose OS is compromised.
 """
 from __future__ import annotations
 
@@ -408,13 +409,17 @@ def _attack_substep(rs: RunState, t: int) -> None:
     _mark_compromised(rs, apps[rs.state[apps] != COMPROMISED], t)
 
 
-def _defense_substep(rs: RunState, t: int) -> None:
+def _defense_substep(rs: RunState, t: int) -> bool:
+    """Plan and redeploy step t; returns whether a redeployed node changed state."""
     spec = rs.scenario.defender
     nodes = _defense_mod.plan(spec, t, rs.state, rs.graph, rs.rng_detector, rs.rng_proactive)
-    if nodes.size:
-        rs.trace.oc[t] = _defense_mod.redeploy(
-            rs.graph, rs.pool, rs.vulnerable, rs.installed, rs.state, nodes, rs.rng_redeploy
-        )
+    if not nodes.size:
+        return False
+    before = rs.state[nodes]
+    rs.trace.oc[t] = _defense_mod.redeploy(
+        rs.graph, rs.pool, rs.vulnerable, rs.installed, rs.state, nodes, rs.rng_redeploy
+    )
+    return bool((rs.state[nodes] != before).any())
 
 
 def _record_frame(rs: RunState, t: int) -> None:
@@ -427,16 +432,22 @@ def _record_frame(rs: RunState, t: int) -> None:
 
 
 def step(rs: RunState, t: int) -> None:
-    """Advance one time step, filling trace row t."""
-    if rs.scenario.defender_first:
-        _defense_substep(rs, t)
+    """Advance one time step, filling trace row t. Only ``_mark_compromised``
+    (every write counted in ``new_compromised[t]``) and ``redeploy`` write
+    ``state``, the frame's one input, so a step in which neither changed a
+    node repeats row t-1."""
+    changed = rs.scenario.defender_first and _defense_substep(rs, t)
     # every node is in the frame, so a frame with no compromised computer
     # leaves no agent, and redeploy compromises nothing: the attack has died
     if rs.trace.cc_count[t - 1]:
         _attack_substep(rs, t)
     if not rs.scenario.defender_first:
-        _defense_substep(rs, t)
-    _record_frame(rs, t)
+        changed = _defense_substep(rs, t)
+    if changed or rs.trace.new_compromised[t]:
+        _record_frame(rs, t)
+    else:
+        for counts in (rs.trace.cc_count, rs.trace.vc_count, rs.trace.ic_count):
+            counts[t] = counts[t - 1]
 
 
 def run(

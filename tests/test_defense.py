@@ -222,6 +222,18 @@ def test_redeploy_state_follows_new_impl():
     redeploy(g, pool, vuln, installed, state, np.arange(g.n_nodes), np.random.default_rng(1))
     assert (installed == 1).all()
     assert (state == INVULNERABLE).all()
+    # so many implementations that program * x overflows int16
+    path = [(i, i + 1) for i in range(19)]
+    g = build_graph([Layer.from_edges(path), Layer.from_edges(path)])
+    pool = ImplementationPool(hbar=3, x=20_000)
+    rng = np.random.default_rng(2)
+    vul = rng.random((pool.hbar, pool.x)) < 0.5
+    installed = rng.integers(0, pool.x, size=g.n_nodes, dtype=np.int16)
+    state = np.full(g.n_nodes, COMPROMISED, dtype=np.int8)
+    nodes = np.arange(g.n_nodes)
+    redeploy(g, pool, vul, installed, state, nodes, rng)
+    want = np.where(vul[g.program[nodes], installed[nodes]], VULNERABLE, INVULNERABLE)
+    assert (state[nodes] == want).all()
 
 
 def test_redeploy_empty_set_is_noop():

@@ -220,6 +220,55 @@ def test_attack_substep_runs_only_after_a_frame_with_a_compromised_computer(
     assert len(calls) < scn.t_max
 
 
+FRAME_CASES = {
+    # the attack dies, and later redeploys among all-vulnerable
+    # implementations keep every node VULNERABLE: rows are copied
+    "reactive-q1": (1.0, 4, DefenderSpec(Strategy.REACTIVE_ADAPTIVE, fpr=0.1, fnr=0.8)),
+    # redeploys flip nodes between VULNERABLE and INVULNERABLE with no
+    # compromise: rows are recomputed
+    "reactive-q0.5": (0.5, 2, DefenderSpec(Strategy.REACTIVE_ADAPTIVE, fpr=0.1, fnr=0.8)),
+    # the steps between period instants redeploy nothing
+    "hybrid": (0.5, 2, DefenderSpec(Strategy.HYBRID, eta2=0.2, fpr=0.1, fnr=0.5)),
+}
+
+
+@pytest.mark.parametrize("defender_first", [True, False], ids=["defender-first", "attacker-first"])
+@pytest.mark.parametrize("case", FRAME_CASES)
+def test_frame_is_recorded_exactly_when_a_node_changed_state(monkeypatch, case, defender_first):
+    g = build_graph(generate_synthetic_network(30, 25, 0.5, 3, seed=1))
+    q, exploits, defender = FRAME_CASES[case]
+    scn = make_scenario(
+        g,
+        pool=ImplementationPool(hbar=g.hbar, x=4),
+        q=q,
+        attacker=AttackerSpec(m3=exploits, m4=exploits, initial_compromise_size=3),
+        defender=defender,
+        defender_first=defender_first,
+        t_max=40,
+        runs=1,
+    )
+    recorded = []
+    record = engine._record_frame
+    monkeypatch.setattr(engine, "_record_frame", lambda rs, t: recorded.append(t) or record(rs, t))
+    states = []
+    trace = run(scn, 0, step_callback=lambda rs, t: states.append(rs.state.copy()))
+    changed = [t for t in range(1, scn.t_max + 1)
+               if trace.new_compromised[t] or (states[t] != states[t - 1]).any()]
+    assert recorded == [0] + changed
+    for t, state in enumerate(states):
+        assert (trace.cc_count[t], trace.vc_count[t], trace.ic_count[t]) == reference.frame(g, state)
+    # each case reaches the side it is there for, after an attack that spread
+    assert trace.new_compromised[1:].any()
+    copied = scn.t_max - len(changed)
+    after_death = [t for t in changed if not trace.cc_count[t - 1]]
+    if case == "reactive-q1":
+        assert copied and not after_death
+    elif case == "reactive-q0.5":
+        assert after_death
+    else:
+        assert copied and after_death
+
+
 def test_push_admits_each_reached_node_once(overlap_graph):
     """A push marks the sources' lists, then asks ``admits`` about each
     reached node once, in ascending order."""
