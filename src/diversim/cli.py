@@ -52,7 +52,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", required=True, help="output directory")
     common.add_argument("--seed", type=int, default=None, help="override run.seed")
     common.add_argument("--runs", type=int, default=None, help="override run.runs")
-    common.add_argument("--jobs", type=int, default=1, help="worker processes")
+    common.add_argument("--jobs", type=int, default=1,
+                        help="processes running simulations: this one and N-1 workers")
 
     run = sub.add_parser("run", parents=[common], help="run one scenario and write trace + summary")
     run.add_argument("--snapshot", action="store_true",

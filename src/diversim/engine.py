@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import logging
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -495,8 +496,18 @@ def _shared_coloring(scenario: Scenario, graph: CommGraph, memo: dict) -> np.nda
     return memo[key]
 
 
-def _run_chunk(payload) -> list[Trace]:
-    scenario, graph, indices, fixed = payload
+_worker_memo: dict = {}  # a worker process's copy of its command's memo
+
+
+def _adopt(memo: dict) -> None:
+    _worker_memo.update(memo)
+
+
+def _run_chunk(scenario: Scenario, indices: list[int], fixed: np.ndarray | None) -> list[Trace]:
+    """The traces of runs ``indices``, in a worker: its graph comes from the
+    memo the worker adopted, or from one ``resolve_graph`` of its own for a
+    network it missed, so results never depend on when or how it started."""
+    graph = resolve_graph(scenario.network, _worker_memo)
     return [run(scenario, i, graph=graph, fixed_installed=fixed) for i in indices]
 
 
@@ -516,12 +527,15 @@ def mean_of(traces: Sequence[Trace]) -> MeanTrace:
     )
 
 
-def worker_pool(jobs: int, runs: int) -> ProcessPoolExecutor | None:
-    """A process pool of ``min(jobs, runs)`` workers, or None when that is 1:
-    ``monte_carlo`` splits the runs into that many chunks, and one chunk
-    runs in-process."""
-    workers = min(jobs, runs)
-    return ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+def worker_pool(jobs: int, runs: int, memo: dict) -> ProcessPoolExecutor | None:
+    """A pool of ``min(jobs, runs) - 1`` worker processes, or None if that is
+    0: the caller runs one of ``monte_carlo``'s chunks. Each worker adopts
+    ``memo``, the command's graphs and colorings, as it starts at the first
+    submit: a forked one inherits the memo, a spawned one unpickles it once."""
+    workers = min(jobs, runs) - 1
+    if workers < 1:
+        return None
+    return ProcessPoolExecutor(max_workers=workers, initializer=_adopt, initargs=(memo,))
 
 
 def monte_carlo(
@@ -534,26 +548,22 @@ def monte_carlo(
     """Run the ensemble and average it, on one ``resolve_graph`` of its network
     and one degree-priority coloring, shared through ``memo`` if one is given.
 
-    The runs are split into ``min(jobs, runs)`` chunks in run-index order.
-    Several chunks run on ``pool``, or on a pool from ``worker_pool`` that
-    this call opens and shuts down when none is given; one chunk runs
-    in-process. Per-run traces depend only on (scenario, seed, run index),
-    and the mean reduces them in run-index order, so the result is
-    identical for every ``jobs`` value and every pool.
+    The runs are split into ``min(jobs, runs)`` chunks in run-index order:
+    chunk 0 runs in-process, the rest as (scenario, run indices, coloring) on
+    ``pool``, or on a ``worker_pool`` this call opens and shuts down. Traces
+    depend only on (scenario, seed, run index) and are averaged in run-index
+    order, so the result is identical at every ``jobs``, pool and start method.
     """
     memo = {} if memo is None else memo
     graph = resolve_graph(scenario.network, memo)
     fixed = _shared_coloring(scenario, graph, memo)
     chunks = np.array_split(np.arange(scenario.runs), max(jobs, 1))
-    payloads = [(scenario, graph, c.tolist(), fixed) for c in chunks if c.size]
-    if len(payloads) == 1:
-        parts = map(_run_chunk, payloads)  # one chunk needs no worker process
-    elif pool is not None:
-        parts = list(pool.map(_run_chunk, payloads))
-    else:
-        with worker_pool(jobs, scenario.runs) as own:
-            parts = list(own.map(_run_chunk, payloads))
-    traces = [tr for part in parts for tr in part]
+    first, *rest = (c.tolist() for c in chunks if c.size)
+    own = worker_pool(jobs, scenario.runs, memo) if pool is None else None
+    with own or nullcontext():
+        futures = [(pool or own).submit(_run_chunk, scenario, c, fixed) for c in rest]
+        traces = [run(scenario, i, graph=graph, fixed_installed=fixed) for i in first]
+        traces += [tr for f in futures for tr in f.result()]
     mean = mean_of(traces)
     return (mean, traces) if collect else mean
 

@@ -1,5 +1,7 @@
 """Scenario files and the command line front end."""
+import functools
 import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -564,15 +566,15 @@ def count_pools(monkeypatch) -> list:
     started = []
     real = engine.ProcessPoolExecutor
 
-    def counting(max_workers):
+    def counting(max_workers, **kw):
         started.append(max_workers)
-        return real(max_workers=max_workers)
+        return real(max_workers=max_workers, **kw)
 
     monkeypatch.setattr(engine, "ProcessPoolExecutor", counting)
     return started
 
 
-@pytest.mark.parametrize("runs,pools", [("2", [2]), ("1", [])])
+@pytest.mark.parametrize("runs,pools", [("2", [1]), ("1", []), ("3", [2])])
 def test_sweep_shares_one_worker_pool_across_cells(tmp_path, monkeypatch, runs, pools):
     started = count_pools(monkeypatch)
     calls = count_run_cells(monkeypatch)
@@ -583,7 +585,8 @@ def test_sweep_shares_one_worker_pool_across_cells(tmp_path, monkeypatch, runs, 
         assert main(["sweep", "--config", str(cfgp), "--out", str(outs[jobs]),
                      "--sweep", "q=0.5:1:0.25", "--runs", runs, "--jobs", jobs]) == 0
         assert multiprocessing.active_children() == []
-    # six cells at --jobs 4 share one pool of min(4, runs) workers; --jobs 1 opens none
+    # six cells at --jobs 4 share one pool of min(4, runs) - 1 workers, this
+    # process running the other chunk of each ensemble; --jobs 1 opens none
     assert len(calls) == 12
     assert started == pools
     for name in ("sweep.csv", "summary.csv"):
@@ -607,8 +610,24 @@ def test_worker_pool_is_shut_down_after_a_failing_cell(tmp_path, monkeypatch, ca
     assert main(["sweep", "--config", str(cfgp), "--out", str(tmp_path / "out"),
                  "--sweep", "q=0.5:1:0.25", "--jobs", "2"]) == 3
     assert "cell failed" in capsys.readouterr().err
-    assert len(calls) == 2 and started == [2]
+    assert len(calls) == 2 and started == [1]
     assert multiprocessing.active_children() == []
+
+
+def test_spawned_workers_write_the_same_bytes(tmp_path, monkeypatch):
+    # spawn pickles the command's memo into each worker instead of forking it;
+    # it is the default start method on macOS and, from Python 3.14, on Linux
+    spawn = multiprocessing.get_context("spawn")
+    monkeypatch.setattr(engine, "ProcessPoolExecutor",
+                        functools.partial(ProcessPoolExecutor, mp_context=spawn))
+    cfgp = write_config(tmp_path)
+    outs = {}
+    for jobs in ("3", "1"):
+        outs[jobs] = tmp_path / f"jobs{jobs}"
+        assert main(["sweep", "--config", str(cfgp), "--out", str(outs[jobs]),
+                     "--sweep", "q=0.5:1:0.5", "--jobs", jobs]) == 0
+    for name in ("sweep.csv", "summary.csv"):
+        assert (outs["3"] / name).read_bytes() == (outs["1"] / name).read_bytes()
 
 
 def test_sweep_x_runs_the_monoculture_twin_once(tmp_path, monkeypatch):

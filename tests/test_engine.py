@@ -1,5 +1,8 @@
 """Simulation loop: scheduling oracle, determinism, invariants, ensembles."""
+import io
 import itertools
+import pickle
+from concurrent.futures import Future
 from types import SimpleNamespace
 
 import numpy as np
@@ -30,7 +33,7 @@ from diversim import (
 )
 from diversim import engine, sweeps
 from diversim.engine import Trace, final_snapshot, init_run, resolve_graph
-from diversim.netmodel import COMPROMISED, INVULNERABLE, VULNERABLE
+from diversim.netmodel import COMPROMISED, INVULNERABLE, VULNERABLE, CommGraph
 
 import reference
 from conftest import make_scenario
@@ -361,7 +364,7 @@ def test_monte_carlo_starts_only_the_workers_it_uses(monkeypatch):
     started = []
 
     class InProcessPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer, initargs):
             started.append(max_workers)
 
         def __enter__(self):
@@ -370,18 +373,89 @@ def test_monte_carlo_starts_only_the_workers_it_uses(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, payloads):
-            return map(fn, payloads)
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
 
     monkeypatch.setattr(engine, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(engine, "_worker_memo", {})
     scn = path_scenario(runs=2)
     mean = monte_carlo(scn, jobs=4)
-    assert started == [2]  # two runs fill two of the four workers
+    assert started == [1]  # two chunks: one worker and this process
     assert np.array_equal(mean.cc, monte_carlo(scn, jobs=1).cc)
     one = path_scenario(runs=1)
     mean = monte_carlo(one, jobs=4)
-    assert started == [2]  # one run is one chunk, run in-process
+    assert started == [1]  # one run is one chunk, run in-process
     assert np.array_equal(mean.cc, monte_carlo(one, jobs=1).cc)
+
+
+class GraphSpy(pickle.Pickler):
+    """Pickles as usual and records every ``CommGraph`` it meets."""
+
+    def __init__(self, fh, seen: list):
+        super().__init__(fh)
+        self.seen = seen
+
+    def persistent_id(self, obj):
+        if isinstance(obj, CommGraph):
+            self.seen.append(obj)
+        return None
+
+
+def test_no_chunk_carries_a_graph_and_a_worker_resolves_a_network_it_missed(monkeypatch):
+    shipped, builds, pools = [], [], []
+    build_graph = engine.build_graph
+    monkeypatch.setattr(engine, "build_graph", lambda *a: builds.append(1) or build_graph(*a))
+
+    class PicklingPool:
+        """Runs each submit on a new in-process worker that starts from an
+        empty memo; only the first worker runs the pool's initializer."""
+
+        def __init__(self, max_workers, initializer, initargs):
+            pools.append(self)
+            self.max_workers = max_workers
+            self.adopt = lambda: initializer(*pickle.loads(pickle.dumps(initargs)))
+            self.builds = []
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            buf = io.BytesIO()
+            GraphSpy(buf, shipped).dump((fn, args))
+            monkeypatch.setattr(engine, "_worker_memo", {})
+            before = len(builds)
+            if not self.builds:
+                self.adopt()
+            fn, args = pickle.loads(buf.getvalue())
+            future = Future()
+            future.set_result(fn(*args))
+            self.builds.append(len(builds) - before)
+            return future
+
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", PicklingPool)
+    scn = Scenario(
+        network=SyntheticNetwork(20, 15, 0.4, 2, 5),
+        pool=ImplementationPool(hbar=3, x=3),
+        q=1.0,
+        attacker=AttackerSpec(m3=1, m4=2, initial_compromise_size=2),
+        defender=DefenderSpec(Strategy.HYBRID, eta2=0.5, fpr=0.1, fnr=0.1),
+        t_max=15,
+        runs=3,
+    )
+    _, traces = monte_carlo(scn, jobs=3, collect=True)
+    assert shipped == []
+    # the pool starts after the ensemble resolved its network: the adopting
+    # worker builds nothing, the other builds the graph it missed once
+    assert [(p.max_workers, p.builds) for p in pools] == [(2, [0, 1])]
+    _, serial = monte_carlo(scn, jobs=1, collect=True)
+    for got, want in zip(traces, serial, strict=True):
+        for name in ("cc_count", "vc_count", "ic_count", "oc", "new_compromised"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 def test_monte_carlo_mean_matches_manual_average():

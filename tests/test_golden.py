@@ -215,10 +215,12 @@ def test_golden_run_family_with_snapshots(tmp_path):
     assert got == {**GOLDEN[case], **SNAPSHOTS}
 
 
-@pytest.mark.parametrize("algo", ["color_flip", "random"])
-def test_golden_run_family_with_other_initial_colorings(tmp_path, algo):
-    # every other case starts from the degree-priority coloring
-    assert outputs(tmp_path, FAMILY, "true", ["run"], jobs=1, algo=algo) == GOLDEN[f"run-{algo}"]
+@pytest.mark.parametrize("algo,jobs", [("color_flip", 1), ("random", 1), ("color_flip", 2), ("random", 2)],
+                         ids=["color_flip", "random", "color_flip-jobs2", "random-jobs2"])
+def test_golden_run_family_with_other_initial_colorings(tmp_path, algo, jobs):
+    # every other case starts from the degree-priority coloring; at two jobs a
+    # worker draws the coloring of each ensemble's second chunk
+    assert outputs(tmp_path, FAMILY, "true", ["run"], jobs=jobs, algo=algo) == GOLDEN[f"run-{algo}"]
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
