@@ -12,6 +12,10 @@ compromised. At step t it installs when t - since is 1, and from then on
 lateral movement and damage. So an agent on a node compromised in step t
 first acts at t+1, and redeploying a node ends its agent because the node
 is no longer compromised; a node compromised again starts over at install.
+A run whose defender never acts is not stepped: each node falls at its
+4/3/0 distance from the footholds, 4 steps after a neighbor if vulnerable and
+in the lateral catalog, 3 after one of its applications for a vulnerable OS
+in the privesc catalog, 0 after its OS (1 if that OS is a t=0 foothold).
 
 Agents act phase-major: all discoveries, then privilege escalations, then
 lateral movements (installs and damage change nothing), hosts in ascending
@@ -19,7 +23,7 @@ id within a pass and effects applied between passes. The three acting sets
 are fixed before any pass, so nodes falling in a step do not act in it. This
 is a deterministic linearization of concurrently acting agents; pass effects
 are idempotent, so within a pass the host order cannot change the outcome.
-``_mark_compromised`` records every compromise, the footholds at t=0 included.
+``_mark_compromised`` records a stepped run's compromises, footholds included.
 
 State lives in flat numpy arrays indexed by node id, and a step is a
 handful of vectorized operations with no loop over agents. Discovery and
@@ -39,7 +43,6 @@ and the spread gathers only the computers whose OS is compromised.
 """
 from __future__ import annotations
 
-import logging
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -74,17 +77,6 @@ from .threat import (
     initial_compromise,
     max_catalog,
 )
-
-logger = logging.getLogger(__name__)
-
-# a non-acting defender's run that goes this many steps in a row without a new
-# compromise has reached a fixed point, and its remaining rows repeat verbatim:
-# in four steps every agent discovers, escalates and moves. ``installed`` never
-# changes, so knowledge never goes stale, and a node v discovered afresh at step
-# d has only compromised neighbors that fell at d-2 or later (an older one would
-# have found v first); each first moves 4 steps after it fell, after d and inside
-# the same quiet steps, so v would already have fallen if it could.
-_QUIET_LIMIT = 4
 
 
 # --- network sources ----------------------------------------------------------
@@ -451,37 +443,53 @@ def step(rs: RunState, t: int) -> None:
             counts[t] = counts[t - 1]
 
 
+def _fall(rs: RunState) -> None:
+    """Solve a passive run's fall steps bucket by bucket in increasing step
+    (Dial, CACM 12(11), 1969) and write ``trace`` and ``state`` from them;
+    ``since`` and ``knowledge`` stay at t=0."""
+    g, tr, t_max = rs.graph, rs.trace, rs.scenario.t_max
+    # an OS's only neighbors are its applications, its privesc sources
+    exploitable = (rs.state == VULNERABLE) & np.where(
+        g.is_app, rs.lateral_mask[g.program, rs.installed], rs.privesc_mask[rs.installed])
+    delay = np.where(exploitable, np.where(g.is_app, 4, 3), t_max + 1)
+    fall = np.where(rs.state == COMPROMISED, 0, t_max + 1)  # t_max + 1: never
+    t = 0
+    while t <= t_max:
+        # an OS takes its applications down at once, a t=0 foothold at t=1
+        apps = g.slot_node[:-1, fall[g.slot_node[-1]] == t].ravel()
+        apps = apps[fall[apps] > t]
+        fall[apps] = max(t, 1)
+        hit = gather_neighbors(g.indptr, g.indices, np.flatnonzero(fall == t))
+        fall[hit] = np.minimum(fall[hit], t + delay[hit])
+        t = fall[fall > t].min(initial=t_max + 1)
+    fallen = fall <= t_max
+    rs.state[fallen] = COMPROMISED
+    tr.new_compromised[:] = np.bincount(fall[fallen], minlength=t_max + 1)
+    first = fall[g.slot_node].min(axis=0)  # each computer's earliest fall
+    tr.cc_count[:] = np.bincount(first[first <= t_max], minlength=t_max + 1).cumsum()
+    tr.ic_count[:] = tr.ic_count[0]
+    tr.vc_count[:] = tr.n_computers - tr.ic_count - tr.cc_count
+
+
+def _finish(rs: RunState) -> RunState:
+    """Take a run from t=0 to t_max: solve a passive one, step any other."""
+    if rs.scenario.defender.acts:
+        for t in range(1, rs.scenario.t_max + 1):
+            step(rs, t)
+    else:
+        _fall(rs)
+    return rs
+
+
 def run(
     scenario: Scenario,
     run_index: int,
     graph: CommGraph | None = None,
-    step_callback: Callable[[RunState, int], None] | None = None,
     fixed_installed: np.ndarray | None = None,
 ) -> Trace:
-    """Execute one seeded run and return its trace.
-
-    With a non-acting defender the loop stops early once the attack has
-    provably saturated (trace rows t-3..t record no new compromise, see
-    ``_QUIET_LIMIT``) and repeats the final row; a ``step_callback``
-    disables the shortcut so instrumented runs see every step.
-    """
+    """Execute one seeded run and return its trace."""
     rs = init_run(scenario, run_index, graph=graph, fixed_installed=fixed_installed)
-    if step_callback is not None:
-        step_callback(rs, 0)
-    passive = not scenario.defender.acts
-    tr = rs.trace
-    for t in range(1, scenario.t_max + 1):
-        step(rs, t)
-        if step_callback is not None:
-            step_callback(rs, t)
-        elif (passive and _QUIET_LIMIT <= t < scenario.t_max
-              and not tr.new_compromised[t - _QUIET_LIMIT + 1:t + 1].any()):
-            # oc and new_compromised of the remaining rows stay zero
-            for counts in (tr.cc_count, tr.vc_count, tr.ic_count):
-                counts[t + 1:] = counts[t]
-            logger.debug("run %d saturated at t=%d", run_index, t)
-            break
-    return rs.trace
+    return _finish(rs).trace
 
 
 # --- Monte Carlo --------------------------------------------------------------
@@ -580,12 +588,4 @@ def final_snapshot(
     scenario: Scenario, run_index: int, path: str | Path, graph: CommGraph | None = None
 ) -> None:
     """Re-execute one run and write its final state snapshot."""
-    if graph is None:
-        graph = resolve_graph(scenario.network)
-    holder: dict[str, RunState] = {}
-
-    def keep(rs: RunState, t: int) -> None:
-        holder["rs"] = rs
-
-    run(scenario, run_index, graph=graph, step_callback=keep)
-    write_snapshot(holder["rs"], path)
+    write_snapshot(_finish(init_run(scenario, run_index, graph=graph)), path)

@@ -12,6 +12,7 @@ from diversim import (
     Strategy,
     build_graph,
 )
+from diversim import engine
 
 
 @pytest.fixture
@@ -49,6 +50,17 @@ def make_scenario(graph, **kw):
         defender=defender,
         **defaults,
     )
+
+
+def stepped(scn, run_index=0, graph=None, watch=lambda rs, t: None):
+    """Run ``scn`` by ``engine.step`` to ``t_max``, whatever its defender, and
+    call ``watch(rs, t)`` at t=0 and after each step; returns the run state."""
+    rs = engine.init_run(scn, run_index, graph=graph)
+    watch(rs, 0)
+    for t in range(1, scn.t_max + 1):
+        engine.step(rs, t)
+        watch(rs, t)
+    return rs
 
 
 def degrees_from_edges(n, edges):

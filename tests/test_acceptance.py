@@ -37,7 +37,7 @@ from diversim.defense import detect
 from diversim.metrics import asd, aoc
 from diversim.netmodel import COMPROMISED, Layer
 
-from conftest import make_scenario
+from conftest import make_scenario, stepped
 
 JOBS = 4
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -126,7 +126,7 @@ def test_redeployed_nodes_are_never_compromised():
             prev["inst"] = rs.installed.copy()
 
         prev["n"] = 0
-        run(scn, 0, step_callback=watch)
+        stepped(scn, watch=watch)
         touched_total += prev["n"]
     assert touched_total > 0
 
@@ -147,7 +147,7 @@ def test_compromise_monotone_without_cures():
             seed=trial,
         )
         masks = []
-        run(scn, 0, step_callback=lambda rs, t: masks.append(rs.state == COMPROMISED))
+        stepped(scn, watch=lambda rs, t: masks.append(rs.state == COMPROMISED))
         for a, b in zip(masks, masks[1:]):
             assert not np.any(a & ~b)
 
@@ -232,7 +232,7 @@ def test_path_schedule_oracle():
         for v in np.flatnonzero(rs.state == COMPROMISED):
             first.setdefault(int(v), t)
 
-    tr = run(scn, 0, step_callback=watch)
+    tr = stepped(scn, watch=watch).trace
     assert first == {0: 0, 1: 3, 2: 4, 3: 7, 4: 8, 5: 11}
     assert first[2] == 4  # second computer's app
     assert tr.cc_count.tolist() == [1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3, 3]
@@ -344,7 +344,7 @@ def test_catalog_growth_never_shrinks_compromise():
                     out["pe"] = rs.privesc_mask.copy()
                     out["lat"] = rs.lateral_mask.copy()
 
-            run(scn, pairs, step_callback=watch)
+            stepped(scn, pairs, watch=watch)
             return out
 
         small = masks_for(m3_lo, m4_lo)

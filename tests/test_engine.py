@@ -36,7 +36,7 @@ from diversim.engine import Trace, final_snapshot, init_run, resolve_graph
 from diversim.netmodel import COMPROMISED, INVULNERABLE, VULNERABLE, CommGraph
 
 import reference
-from conftest import make_scenario
+from conftest import make_scenario, stepped
 
 
 def path_scenario(**kw):
@@ -68,7 +68,7 @@ def test_path_schedule_matches_hand_derivation():
             first.setdefault(int(v), t)
 
     scn = path_scenario()
-    trace = run(scn, 0, step_callback=watch)
+    trace = stepped(scn, watch=watch).trace
     assert first == {0: 0, 1: 3, 2: 4, 3: 7, 4: 8, 5: 11}
     want_cc = [1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3, 3]
     assert trace.cc_count.tolist() == want_cc
@@ -92,7 +92,7 @@ def test_os_compromise_pulls_down_local_apps_same_step():
     def watch(rs, t):
         states[t] = rs.state.copy()
 
-    run(scn, 0, step_callback=watch)
+    stepped(scn, watch=watch)
     assert states[0][osn] == COMPROMISED
     assert states[1][0] == COMPROMISED and states[1][1] == COMPROMISED
 
@@ -169,34 +169,36 @@ def test_static_compromise_monotone():
     def watch(rs, t):
         masks.append(rs.state == COMPROMISED)
 
-    run(scn, 0, step_callback=watch)
+    stepped(scn, watch=watch)
     for prev, cur in zip(masks, masks[1:]):
         assert (prev <= cur).all()
 
 
-def test_early_exit_matches_instrumented_run(monkeypatch):
-    # the passive-defender shortcut must not change the recorded trace, and
-    # it stops at the first step closing four rows without a new compromise
+def test_passive_run_is_solved_without_a_step(monkeypatch, tmp_path):
+    # a passive run takes no step, and its trace and final snapshot are those
+    # of the same run stepped to t_max
     cases = [
         # the last OS falls at t=11
-        (path_scenario(t_max=40), 15),
-        # no exploits: the foothold's discovery at t=2 is fresh knowledge,
-        # but its move at t=4 finds nothing, so the run stops there
-        (path_scenario(attacker=AttackerSpec(0, 0, 1, initial_nodes=(0,)), t_max=20), 4),
-        # no foothold: the fixed point is t=0, and the run stops at the first
-        # step that may close four quiet rows
-        (path_scenario(attacker=AttackerSpec(1, 1, 0), t_max=20), 4),
+        path_scenario(t_max=40),
+        # no exploits: the foothold discovers its neighbor but cannot move
+        path_scenario(attacker=AttackerSpec(0, 0, 1, initial_nodes=(0,)), t_max=20),
+        # no foothold: nothing ever falls
+        path_scenario(attacker=AttackerSpec(1, 1, 0), t_max=20),
     ]
     calls = []
     step = engine.step
     monkeypatch.setattr(engine, "step", lambda rs, t: calls.append(t) or step(rs, t))
-    for scn, want in cases:
+    for scn in cases:
         calls.clear()
         plain = run(scn, 0)
-        assert len(calls) == want
-        full = run(scn, 0, step_callback=lambda rs, t: None)
+        final_snapshot(scn, 0, tmp_path / "solved.csv")
+        assert calls == []
+        full = stepped(scn)
+        assert len(calls) == scn.t_max
         for name in ("cc_count", "vc_count", "ic_count", "oc", "new_compromised"):
-            assert np.array_equal(getattr(plain, name), getattr(full, name)), name
+            assert np.array_equal(getattr(plain, name), getattr(full.trace, name)), name
+        engine.write_snapshot(full, tmp_path / "stepped.csv")
+        assert (tmp_path / "solved.csv").read_bytes() == (tmp_path / "stepped.csv").read_bytes()
 
 
 @pytest.mark.parametrize("defender_first", [True, False], ids=["defender-first", "attacker-first"])
@@ -254,7 +256,7 @@ def test_frame_is_recorded_exactly_when_a_node_changed_state(monkeypatch, case, 
     record = engine._record_frame
     monkeypatch.setattr(engine, "_record_frame", lambda rs, t: recorded.append(t) or record(rs, t))
     states = []
-    trace = run(scn, 0, step_callback=lambda rs, t: states.append(rs.state.copy()))
+    trace = stepped(scn, watch=lambda rs, t: states.append(rs.state.copy())).trace
     changed = [t for t in range(1, scn.t_max + 1)
                if trace.new_compromised[t] or (states[t] != states[t - 1]).any()]
     assert recorded == [0] + changed
@@ -315,7 +317,7 @@ def test_redeployed_nodes_come_back_clean():
                 seen["checked"] += touched.size
         prev_inst["v"] = rs.installed.copy()
 
-    run(scn, 0, step_callback=watch)
+    stepped(scn, watch=watch)
     assert seen["checked"] > 0
 
 

@@ -20,14 +20,13 @@ from diversim import (
     awd,
     build_graph,
     first_crossing,
-    run,
     tts,
 )
 from diversim import sweeps
 from diversim.netmodel import COMPROMISED
 from diversim.threat import build_exploit_catalog
 
-from conftest import make_scenario
+from conftest import make_scenario, stepped
 
 
 class FakeTrace:
@@ -261,7 +260,7 @@ def test_coupled_budgets_nest_compromise_sets():
             seed=5,
         )
         rows = []
-        run(scn, 0, step_callback=lambda rs, t: rows.append(rs.state == COMPROMISED))
+        stepped(scn, watch=lambda rs, t: rows.append(rs.state == COMPROMISED))
         masks[label] = rows
     for small_m, big_m in zip(masks["small"], masks["big"]):
         assert (small_m <= big_m).all()

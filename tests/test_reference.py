@@ -1,11 +1,11 @@
 """Differential test: the vectorized engine against the scalar reference stepper.
 
 On small random graphs the engine's run state must equal the stepper's after
-every step, and ``run``'s trace, with and without a step callback (the
-passive-defender saturation exit runs only without one), must equal the
-stepper's rows. The engine keeps no agents, so the state check derives them:
-one on every compromised node, in the phase that the steps since the node
-fell give. A fixed example has redeployed nodes compromised again.
+every step, and the rows of that stepped run and of ``run`` (which solves a
+passive-defender run without stepping it) must equal the stepper's. The
+engine keeps no agents, so the state check derives them: one on every
+compromised node, in the phase that the steps since the node fell give. A
+fixed example has redeployed nodes compromised again.
 
 Discovery and lateral movement find their targets with ``engine._reached``,
 which either pushes from the agents' adjacency lists or pulls from the
@@ -38,6 +38,7 @@ from diversim import (
 from diversim import engine
 from diversim.netmodel import COMPROMISED, vulnerable_count
 
+from conftest import stepped
 from reference import AttackPhase, ReferenceRun, _csr, neighbors
 
 
@@ -63,6 +64,7 @@ class Case:
     t_max: int
     seed: int
     run_index: int
+    initial_nodes: tuple | None = None
 
 
 def descending(hi: int):
@@ -122,7 +124,8 @@ def scenario_of(case: Case, strategy: Strategy, defender_first: bool) -> Scenari
         pool=pool,
         q=case.q,
         attacker=AttackerSpec(m3=min(case.m3, k), m4=min(case.m4, (pool.hbar - 1) * k),
-                              initial_compromise_size=case.ini_comp),
+                              initial_compromise_size=case.ini_comp,
+                              initial_nodes=case.initial_nodes),
         defender=DefenderSpec(strategy, initial_algo=case.algo, **knobs),
         t_max=case.t_max,
         runs=1,
@@ -179,6 +182,10 @@ DENSE_CASE = Case(
     eta1=0.2, eta2=0.25, fpr=0.1, fnr=0.2, hybrid_union=False, t_max=24, seed=5, run_index=0,
 )
 
+# footholds on computer 1's OS, whose two applications fall at t=1, and on
+# computer 4's first application
+OS_FOOTHOLD_CASE = replace(EDGE_CASE, x=3, q=1.0, m3=4, m4=8, initial_nodes=(4, 10))
+
 
 @pytest.mark.parametrize("defender_first", [True, False])
 @pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
@@ -189,6 +196,11 @@ DENSE_CASE = Case(
 # a detector that misses most compromises lets agents act, while every acting
 # strategy redeploys compromised nodes that fall again and restart at install
 @example(case=replace(DENSE_CASE, fnr=0.8))
+@example(case=OS_FOOTHOLD_CASE)
+# horizons that cut the attack off mid-spread
+@example(case=replace(OS_FOOTHOLD_CASE, t_max=1))
+@example(case=replace(OS_FOOTHOLD_CASE, t_max=2))
+@example(case=replace(DENSE_CASE, initial_nodes=()))
 @settings(max_examples=25, derandomize=True, deadline=None)
 def test_engine_matches_reference_stepper(strategy, defender_first, case):
     scn = scenario_of(case, strategy, defender_first)
@@ -205,7 +217,7 @@ def test_engine_matches_reference_stepper(strategy, defender_first, case):
         new = rs.trace.new_compromised[t]
         assert (fell == new if defender_first else fell <= new), t
 
-    traced = run(scn, case.run_index, graph=graph, step_callback=check)
+    traced = stepped(scn, case.run_index, graph=graph, watch=check).trace
     assert len(ref.rows) == scn.t_max + 1
     assert rows_of(traced) == ref.rows
     plain = run(scn, case.run_index, graph=graph)
@@ -242,7 +254,7 @@ def directions():
 def test_dense_example_pushes_and_pulls_in_both_phases(strategy):
     scn = scenario_of(DENSE_CASE, strategy, True)
     with directions() as taken:
-        run(scn, DENSE_CASE.run_index, graph=scn.network.graph)
+        stepped(scn, DENSE_CASE.run_index, graph=scn.network.graph)
     assert set(taken) == {(rule, way) for rule in ("stale", "exploitable")
                               for way in ("push", "pull")}
 
