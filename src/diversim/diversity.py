@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .netmodel import CommGraph, ImplementationPool, gather_neighbors
+from .netmodel import CommGraph, ImplementationPool, derived, gather_neighbors
 
 logger = logging.getLogger(__name__)
 
@@ -60,10 +60,13 @@ def color_flipping(
     Sweeps nodes in ascending id; a node flips to the implementation with
     strictly fewest defective incident edges (ties to the lowest index).
     Stops at a fixed point or after ``MAX_FLIP_SWEEPS`` full sweeps. Each
-    sweep runs one dependency level at a time (see ``_levels``).
+    sweep runs one dependency level at a time (see ``_levels``); a graph's
+    levels are built once per x, for as long as the graph lives.
     """
     inst = random_coloring(graph, pool, rng)
-    sweeps = _sweep(graph, inst, np.arange(graph.n_nodes), pool.x, _fewest, MAX_FLIP_SWEEPS)
+    levels = derived(graph, ("flip levels", pool.x),
+                     lambda: _levels(graph, np.arange(graph.n_nodes), pool.x))
+    sweeps = _sweep(inst, levels, pool.x, _fewest, MAX_FLIP_SWEEPS)
     base = count_defective_edges(graph, inst)
     return inst, ColoringReport(base.defective_edges, base.per_program, sweeps)
 
@@ -136,7 +139,7 @@ def _switching(graph: CommGraph, inst: np.ndarray, members: np.ndarray, x: int) 
     so termination is guaranteed. Sweeps run one dependency level at a time
     (see ``_levels``).
     """
-    return _sweep(graph, inst, members, x, lambda counts, cur: cur)
+    return _sweep(inst, _levels(graph, members, x), x, lambda counts, cur: cur)
 
 
 def _fewest(counts: np.ndarray, cur: np.ndarray) -> np.ndarray:
@@ -145,16 +148,15 @@ def _fewest(counts: np.ndarray, cur: np.ndarray) -> np.ndarray:
     return np.minimum(cur, counts.min(axis=1) + 1)
 
 
-def _sweep(graph: CommGraph, inst: np.ndarray, nodes: np.ndarray, x: int, bound,
-           limit: int | None = None) -> int:
-    """Ascending-id sweeps over ``nodes`` until one changes nothing or
-    ``limit`` sweeps are made; returns the sweeps made.
+def _sweep(inst: np.ndarray, levels: tuple, x: int, bound, limit: int | None = None) -> int:
+    """Ascending-id sweeps over the nodes of ``levels`` (see ``_levels``)
+    until one changes nothing or ``limit`` sweeps are made; returns the
+    sweeps made.
 
     A node whose same-program neighbors run each implementation ``counts``
     times, ``cur`` of them its own, switches to the first implementation
     counted below ``bound(counts, cur)``, if any is.
     """
-    levels = _levels(graph, nodes, x)
     sweeps = 0
     while limit is None or sweeps < limit:
         changed = False
@@ -173,7 +175,7 @@ def _sweep(graph: CommGraph, inst: np.ndarray, nodes: np.ndarray, x: int, bound,
     return sweeps
 
 
-def _levels(graph: CommGraph, nodes: np.ndarray, x: int) -> list[tuple[np.ndarray, ...]]:
+def _levels(graph: CommGraph, nodes: np.ndarray, x: int) -> tuple[tuple[np.ndarray, ...], ...]:
     """The dependency levels of a sweep over ``nodes``, given in sweep order.
 
     ``nodes`` holds whole programs. A node with no same-program neighbor
@@ -216,7 +218,7 @@ def _levels(graph: CommGraph, nodes: np.ndarray, x: int) -> list[tuple[np.ndarra
         frontier = (waiting == 0).nonzero()[0]
 
     if not fronts:
-        return []
+        return ()
     sizes = [f.size for f in fronts]
     swept = nodes[np.concatenate(fronts)]
     deg = indptr[swept + 1] - indptr[swept]
@@ -225,7 +227,7 @@ def _levels(graph: CommGraph, nodes: np.ndarray, x: int) -> list[tuple[np.ndarra
     key = slot.repeat(deg)
     nbr = gather_neighbors(indptr, indices, swept)
     node_ends, edge_ends = node_ends.tolist(), deg.cumsum()[node_ends - 1].tolist()
-    return [
+    return tuple(
         (swept[a:b], slot[a:b], key[c:d], nbr[c:d])
         for a, b, c, d in zip([0] + node_ends, node_ends, [0] + edge_ends, edge_ends)
-    ]
+    )

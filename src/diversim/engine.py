@@ -64,6 +64,7 @@ from .netmodel import (
     assign_vulnerabilities,
     build_graph,
     check_network_seed,
+    derived,
     gather_neighbors,
     generate_synthetic_network,
     load_network_files,
@@ -106,7 +107,8 @@ class PrebuiltNetwork:
 
 def resolve_graph(network, memo: dict | None = None) -> CommGraph:
     """The graph of a network source; with a ``memo`` (one per command, see
-    ``sweeps._run_cells``), the graph it already holds for an equal source."""
+    ``sweeps._run_cells``), the graph it already holds for an equal source.
+    The memo maps network sources to graphs and holds nothing else."""
     if memo is not None and network in memo:
         return memo[network]
     if isinstance(network, PrebuiltNetwork):
@@ -237,32 +239,19 @@ class RunState:
         return self.scenario.pool
 
 
-def _initial_config(
-    scenario: Scenario, graph: CommGraph, run_index: int, fixed: np.ndarray | None
-) -> np.ndarray:
-    if fixed is not None:
-        return fixed.copy()
-    algo = scenario.defender.initial_algo
+def _initial_config(scenario: Scenario, graph: CommGraph, run_index: int) -> np.ndarray:
+    algo, pool = scenario.defender.initial_algo, scenario.pool
+    if algo is InitialAlgo.DEGREE_PRIORITY:  # deterministic given graph and pool
+        coloring = derived(graph, ("degree priority", pool), lambda: degree_priority_assignment(graph, pool)[0])
+        return coloring.copy()
     rng = substream(scenario.seed, run_index, Purpose.COLORING)
     if algo is InitialAlgo.RANDOM:
-        return random_coloring(graph, scenario.pool, rng)
-    if algo is InitialAlgo.COLOR_FLIP:
-        return color_flipping(graph, scenario.pool, rng)[0]
-    return degree_priority_assignment(graph, scenario.pool)[0]
+        return random_coloring(graph, pool, rng)
+    return color_flipping(graph, pool, rng)[0]
 
 
-def init_run(
-    scenario: Scenario,
-    run_index: int,
-    graph: CommGraph | None = None,
-    fixed_installed: np.ndarray | None = None,
-) -> RunState:
-    """Build the run state at t=0, including the t=0 trace row.
-
-    ``fixed_installed`` short-circuits the initial coloring; the Monte Carlo
-    driver uses it to share the deterministic degree-priority assignment
-    across runs.
-    """
+def init_run(scenario: Scenario, run_index: int, graph: CommGraph | None = None) -> RunState:
+    """Build the run state at t=0, including the t=0 trace row."""
     if graph is None:
         graph = resolve_graph(scenario.network)
     if graph.hbar != scenario.pool.hbar:
@@ -273,7 +262,7 @@ def init_run(
     vulnerable = assign_vulnerabilities(
         pool, scenario.q, substream(scenario.seed, run_index, Purpose.VULNERABILITY)
     )
-    installed = _initial_config(scenario, graph, run_index, fixed_installed)
+    installed = _initial_config(scenario, graph, run_index)
     privesc_mask, lateral_mask = build_exploit_catalog(
         pool,
         vulnerable,
@@ -481,28 +470,12 @@ def _finish(rs: RunState) -> RunState:
     return rs
 
 
-def run(
-    scenario: Scenario,
-    run_index: int,
-    graph: CommGraph | None = None,
-    fixed_installed: np.ndarray | None = None,
-) -> Trace:
+def run(scenario: Scenario, run_index: int, graph: CommGraph | None = None) -> Trace:
     """Execute one seeded run and return its trace."""
-    rs = init_run(scenario, run_index, graph=graph, fixed_installed=fixed_installed)
-    return _finish(rs).trace
+    return _finish(init_run(scenario, run_index, graph=graph)).trace
 
 
 # --- Monte Carlo --------------------------------------------------------------
-
-def _shared_coloring(scenario: Scenario, graph: CommGraph, memo: dict) -> np.ndarray | None:
-    # degree-priority is deterministic given graph and pool: compute once per memo
-    if scenario.defender.initial_algo is not InitialAlgo.DEGREE_PRIORITY:
-        return None
-    key = (scenario.network, scenario.pool)
-    if key not in memo:
-        memo[key] = degree_priority_assignment(graph, scenario.pool)[0]
-    return memo[key]
-
 
 _worker_memo: dict = {}  # a worker process's copy of its command's memo
 
@@ -511,12 +484,12 @@ def _adopt(memo: dict) -> None:
     _worker_memo.update(memo)
 
 
-def _run_chunk(scenario: Scenario, indices: list[int], fixed: np.ndarray | None) -> list[Trace]:
+def _run_chunk(scenario: Scenario, indices: list[int]) -> list[Trace]:
     """The traces of runs ``indices``, in a worker: its graph comes from the
     memo the worker adopted, or from one ``resolve_graph`` of its own for a
     network it missed, so results never depend on when or how it started."""
     graph = resolve_graph(scenario.network, _worker_memo)
-    return [run(scenario, i, graph=graph, fixed_installed=fixed) for i in indices]
+    return [run(scenario, i, graph=graph) for i in indices]
 
 
 def mean_of(traces: Sequence[Trace]) -> MeanTrace:
@@ -538,8 +511,9 @@ def mean_of(traces: Sequence[Trace]) -> MeanTrace:
 def worker_pool(jobs: int, runs: int, memo: dict) -> ProcessPoolExecutor | None:
     """A pool of ``min(jobs, runs) - 1`` worker processes, or None if that is
     0: the caller runs one of ``monte_carlo``'s chunks. Each worker adopts
-    ``memo``, the command's graphs and colorings, as it starts at the first
-    submit: a forked one inherits the memo, a spawned one unpickles it once."""
+    ``memo``, the command's graphs, as it starts at the first submit: a
+    forked one inherits the memo and the colorings made so far, a spawned
+    one unpickles the memo once and colors its graphs itself."""
     workers = min(jobs, runs) - 1
     if workers < 1:
         return None
@@ -553,24 +527,26 @@ def monte_carlo(
     pool: ProcessPoolExecutor | None = None,
     memo: dict | None = None,
 ) -> MeanTrace | tuple[MeanTrace, list[Trace]]:
-    """Run the ensemble and average it, on one ``resolve_graph`` of its network
-    and one degree-priority coloring, shared through ``memo`` if one is given.
+    """Run the ensemble and average it, on one ``resolve_graph`` of its network,
+    shared through ``memo`` if one is given. Each process colors a graph by
+    degree priority once per pool, for as long as the graph lives.
 
     The runs are split into ``min(jobs, runs)`` chunks in run-index order:
-    chunk 0 runs in-process, the rest as (scenario, run indices, coloring) on
-    ``pool``, or on a ``worker_pool`` this call opens and shuts down. Traces
-    depend only on (scenario, seed, run index) and are averaged in run-index
-    order, so the result is identical at every ``jobs``, pool and start method.
+    chunk 0 runs in-process, the rest as (scenario, run indices) on ``pool``,
+    or on a ``worker_pool`` this call opens and shuts down. Traces depend
+    only on (scenario, seed, run index) and are averaged in run-index order,
+    so the result is identical at every ``jobs``, pool and start method.
     """
     memo = {} if memo is None else memo
     graph = resolve_graph(scenario.network, memo)
-    fixed = _shared_coloring(scenario, graph, memo)
+    if scenario.defender.initial_algo is InitialAlgo.DEGREE_PRIORITY:
+        _initial_config(scenario, graph, 0)  # colors the graph before the first submit forks a worker
     chunks = np.array_split(np.arange(scenario.runs), max(jobs, 1))
     first, *rest = (c.tolist() for c in chunks if c.size)
     own = worker_pool(jobs, scenario.runs, memo) if pool is None else None
     with own or nullcontext():
-        futures = [(pool or own).submit(_run_chunk, scenario, c, fixed) for c in rest]
-        traces = [run(scenario, i, graph=graph, fixed_installed=fixed) for i in first]
+        futures = [(pool or own).submit(_run_chunk, scenario, c) for c in rest]
+        traces = [run(scenario, i, graph=graph) for i in first]
         traces += [tr for f in futures for tr in f.result()]
     mean = mean_of(traces)
     return (mean, traces) if collect else mean

@@ -25,9 +25,10 @@ from __future__ import annotations
 
 import logging
 import re
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -223,6 +224,26 @@ def build_graph(layers: Sequence[Layer], users: Iterable[int] | None = None) -> 
     return CommGraph(layers, users)
 
 
+# graph -> {key: what the graph fixes}, for as long as the graph lives
+_derived: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def derived(graph: CommGraph, key, make: Callable[[], np.ndarray | tuple]):
+    """``make()``, made once per ``key`` in this process while ``graph`` lives
+    and never pickled; its arrays are read-only, as every later call shares them."""
+    entries = _derived.setdefault(graph, {})
+    if key not in entries:
+        entries[key] = _freeze(make())
+    return entries[key]
+
+
+def _freeze(value):
+    if not isinstance(value, np.ndarray):
+        return tuple(map(_freeze, value))
+    value.flags.writeable = False
+    return value
+
+
 def gather_neighbors(indptr: np.ndarray, indices: np.ndarray, hosts: np.ndarray) -> np.ndarray:
     """Concatenated neighbor lists for ``hosts`` without a Python loop."""
     start = indptr[hosts]
@@ -346,22 +367,29 @@ def generate_synthetic_network(
 # --- id files -------------------------------------------------------------------
 
 _IDS = re.compile(r"(?:-?[0-9]+\s+)*-?[0-9]+")  # int() also takes 1_000, +1, non-ASCII digits
+_COMMENTS = re.compile(r"^[ \t]*#.*", re.M)
 
 
 def read_id_file(path: str | Path, width: int) -> np.ndarray:
     """Parse an id file into an (n, width) int64 array: each line holds
     ``width`` whitespace-separated user ids (two for an edge list, one for a
     users file), each ASCII digits for a non-negative integer below 2**63;
-    blank lines and lines starting with '#' are skipped."""
+    blank lines and lines starting with '#' are skipped. A file of ids of at
+    most 18 digits, spaces and tabs is checked and split whole; any other
+    file is read line by line, which names the first bad line."""
     try:
         with open(path) as fh:
-            lines = fh.readlines()
+            text = fh.read()
     except FileNotFoundError:
         raise NetworkError(f"network file not found: {path}") from None
     except (OSError, UnicodeDecodeError) as exc:
         raise NetworkError(f"cannot read network file {path}: {exc}") from None
+    body = _COMMENTS.sub("", text)
+    row = r"[ \t]+".join([r"[0-9]{1,18}"] * width)  # 18 digits fit in int64
+    if re.fullmatch(rf"(?:[ \t]*(?:{row}[ \t]*)?(?:\n|\Z))*", body):
+        return np.array(body.split(), dtype=np.int64).reshape(-1, width)
     rows = []
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

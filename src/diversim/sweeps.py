@@ -142,11 +142,11 @@ def _run_cells(cells: Sequence[Scenario], jobs: int) -> list[MeanTrace]:
     distinct simulation: tau is read only by the reductions, and the cells of
     a family share network, t_max, runs, seed and defender order.
 
-    Every call shares one memo, dropped on return: each network is resolved
-    and each degree-priority coloring computed once per (network, pool). It
-    also shares one pool of ``min(jobs, runs) - 1`` workers that adopt the
-    memo (``engine.worker_pool``, none at 1), shut down on return or failure;
-    this process runs each ensemble's first chunk.
+    Every call shares one memo of graphs, dropped on return: each network is
+    resolved once, and each process colors a graph once per pool while it
+    lives. It also shares one pool of ``min(jobs, runs) - 1`` workers that
+    adopt the memo (``engine.worker_pool``, none at 1), shut down on return
+    or failure; this process runs each ensemble's first chunk.
     """
     keys = [(c.pool, c.q, c.attacker, replace(c.defender, tau=0.0)) for c in cells]
     means: dict[tuple, MeanTrace] = {}

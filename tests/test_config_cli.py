@@ -454,6 +454,15 @@ def files_network_config(tmp_path, strategy):
     return path
 
 
+def test_run_snapshot_colors_each_graph_once(tmp_path, monkeypatch):
+    calls = count_network_work(monkeypatch)
+    cfgp = write_config(tmp_path, strategy="[static, reactive]", extra="  fpr: 0.1\n  fnr: 0.1\n")
+    assert main(["run", "--config", str(cfgp), "--out", str(tmp_path / "out"), "--snapshot"]) == 0
+    # one coloring of the sweep's graph for both ensembles and one of the
+    # snapshots' graph for both snapshots, not one per snapshot run
+    assert calls["build_graph"] == 2 and calls["degree_priority_assignment"] == 2
+
+
 @pytest.mark.parametrize("network,strategy,grid,want", [
     # both members color the one graph by degree priority at the one x
     ("synthetic", "[static, reactive]", "q=0.5:1:0.5", (0, 1, 1)),
@@ -620,14 +629,23 @@ def test_spawned_workers_write_the_same_bytes(tmp_path, monkeypatch):
     spawn = multiprocessing.get_context("spawn")
     monkeypatch.setattr(engine, "ProcessPoolExecutor",
                         functools.partial(ProcessPoolExecutor, mp_context=spawn))
-    cfgp = write_config(tmp_path)
-    outs = {}
-    for jobs in ("3", "1"):
-        outs[jobs] = tmp_path / f"jobs{jobs}"
-        assert main(["sweep", "--config", str(cfgp), "--out", str(outs[jobs]),
-                     "--sweep", "q=0.5:1:0.5", "--jobs", jobs]) == 0
-    for name in ("sweep.csv", "summary.csv"):
-        assert (outs["3"] / name).read_bytes() == (outs["1"] / name).read_bytes()
+    knobs = "  eta1: 0.5\n  eta2: 0.25\n"
+    cases = [
+        ("static", 3, "", "q=0.5:1:0.5"),
+        # x sweeps: a spawned worker colors, or levels for color_flip, its own
+        # copy of the graph once per x
+        ("[static, proactive]", 3, knobs, "x=2:10:4"),
+        ("[static, proactive]", "3\n  initial_algo: color_flip", knobs, "x=2:10:4"),
+    ]
+    for case, (strategy, x, extra, grid) in enumerate(cases):
+        cfgp = write_config(tmp_path, strategy=strategy, x=x, extra=extra)
+        outs = {}
+        for jobs in ("3", "1"):
+            outs[jobs] = tmp_path / f"case{case}-jobs{jobs}"
+            assert main(["sweep", "--config", str(cfgp), "--out", str(outs[jobs]),
+                         "--sweep", grid, "--jobs", jobs]) == 0
+        for name in ("sweep.csv", "summary.csv"):
+            assert (outs["3"] / name).read_bytes() == (outs["1"] / name).read_bytes(), case
 
 
 def test_sweep_x_runs_the_monoculture_twin_once(tmp_path, monkeypatch):

@@ -1,11 +1,13 @@
 """Coloring algorithms: defect counting, local searches, determinism."""
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
-from diversim import diversity
+from diversim import diversity, netmodel
 
 from diversim import (
     ImplementationPool,
@@ -14,6 +16,7 @@ from diversim import (
     color_flipping,
     count_defective_edges,
     degree_priority_assignment,
+    generate_synthetic_network,
     random_coloring,
 )
 
@@ -114,6 +117,25 @@ def test_flipping_improves_on_its_random_start():
     cfg, rep = color_flipping(g, pool, np.random.default_rng(12))
     assert rep.defective_edges <= count_defective_edges(g, start).defective_edges
     assert 1 <= rep.sweeps <= 50
+
+
+def test_color_flipping_levels_a_graph_once_per_x(monkeypatch):
+    g = build_graph(generate_synthetic_network(40, 30, 0.5, 3, seed=2))
+    built = []
+    levels = diversity._levels
+    monkeypatch.setattr(diversity, "_levels",
+                        lambda g, nodes, x: built.append(x) or levels(g, nodes, x))
+    xs = (2, 10, 2)
+    warm = [color_flipping(g, ImplementationPool(g.hbar, x), np.random.default_rng(9)) for x in xs]
+    assert built == [2, 10]
+    # shared by every later call, so no call may write into them
+    cached = netmodel._derived[g][("flip levels", 2)]
+    assert cached and not any(a.flags.writeable for level in cached for a in level)
+    for x, (inst, rep) in zip(xs, warm):
+        monkeypatch.setattr(netmodel, "_derived", weakref.WeakKeyDictionary())
+        cold, cold_rep = color_flipping(g, ImplementationPool(g.hbar, x), np.random.default_rng(9))
+        assert np.array_equal(inst, cold) and rep == cold_rep
+    assert built == [2, 10, 2, 10, 2]
 
 
 def test_single_impl_everything_defective():

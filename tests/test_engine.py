@@ -1,8 +1,10 @@
 """Simulation loop: scheduling oracle, determinism, invariants, ensembles."""
+import gc
 import io
 import itertools
 import pickle
 from concurrent.futures import Future
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -31,7 +33,7 @@ from diversim import (
     run,
     write_id_file,
 )
-from diversim import engine, sweeps
+from diversim import engine, netmodel, sweeps
 from diversim.engine import Trace, final_snapshot, init_run, resolve_graph
 from diversim.netmodel import COMPROMISED, INVULNERABLE, VULNERABLE, CommGraph
 
@@ -475,6 +477,37 @@ def test_monte_carlo_mean_matches_manual_average():
     assert np.array_equal(mean.cc, by_hand.cc)
     solo = run(scn, 2, graph=resolve_graph(scn.network))
     assert np.array_equal(traces[2].cc_count, solo.cc_count)
+
+
+def test_a_graph_is_colored_once_per_pool_for_as_long_as_it_lives(monkeypatch):
+    colored = []
+    color = engine.degree_priority_assignment
+    monkeypatch.setattr(engine, "degree_priority_assignment",
+                        lambda g, pool: colored.append(g) or color(g, pool))
+    layers = generate_synthetic_network(30, 25, 0.5, 2, seed=4)
+    graph = build_graph(layers)
+    static = make_scenario(graph, t_max=15, runs=3)
+    proactive = replace(static, defender=DefenderSpec(Strategy.PROACTIVE, eta1=0.5, eta2=0.5))
+    monte_carlo(static)
+    monte_carlo(proactive)
+    assert colored == [graph]
+    cached = netmodel._derived[graph][("degree priority", static.pool)]
+    assert not cached.flags.writeable
+    # the proactive runs redeployed their own copies of it
+    assert np.array_equal(cached, color(graph, static.pool)[0])
+
+    # a graph with equal arrays is another graph, with an entry of its own
+    twin = build_graph(layers)
+    monte_carlo(replace(static, network=PrebuiltNetwork(twin)))
+    assert colored == [graph, twin]
+    assert netmodel._derived[twin] is not netmodel._derived[graph]
+
+    colored.clear()
+    gc.collect()  # entries of graphs that earlier tests left as garbage
+    entries = len(netmodel._derived)
+    del graph, static, proactive
+    gc.collect()
+    assert len(netmodel._derived) == entries - 1 and twin in netmodel._derived
 
 
 # --- scenario validation ----------------------------------------------------------------

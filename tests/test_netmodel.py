@@ -436,7 +436,14 @@ def test_edge_file_rejects_malformed_lines(tmp_path, body):
     ("1 2\n3 " + "9" * 5000 + "\n", "bad.edges:2: user id does not fit in int64"),
     ("-" + "9" * 5000 + " 2\n", "bad.edges:1: negative user id"),
     ("1 \u0663\n", "bad.edges:1: non-integer id in '1 \u0663'"),
-], ids=["long-digit-run", "long-negative", "arabic-indic-digit"])
+    # a bad line after thousands of good ones fails the whole-file check and
+    # is named by the line-by-line read
+    ("# header\n" + "1 2\n" * 5000 + "3 x\n", "bad.edges:5002: non-integer id in '3 x'"),
+    ("1 2\n" * 5000 + "\t3\n", "bad.edges:5001: expected 2 ids, got '3'"),
+    ("1 2\n" * 5000 + "3 -4\n", "bad.edges:5001: negative user id"),
+    ("1 2\n" * 5000 + "3 9223372036854775808", "bad.edges:5001: user id does not fit in int64"),
+], ids=["long-digit-run", "long-negative", "arabic-indic-digit", "far-non-integer",
+        "far-width", "far-negative", "far-int64"])
 def test_id_file_messages(tmp_path, body, message):
     # a digit run past int()'s 4300-digit limit still gets the int64 or negative message
     path = tmp_path / "bad.edges"
@@ -444,6 +451,16 @@ def test_id_file_messages(tmp_path, body, message):
     with pytest.raises(NetworkError) as err:
         read_id_file(path, 2)
     assert str(err.value) == f"{path.parent}/{message}"
+
+
+def test_id_file_read_whole_equals_line_by_line(tmp_path):
+    # tabs, padding, blank and comment lines, -0 and an unterminated last line
+    path = tmp_path / "ids.edges"
+    path.write_text("  # c\n1\t2 \n\n 999999999999999999  0\n#\n3 -0\n4 9223372036854775807")
+    assert read_id_file(path, 2).tolist() == [
+        [1, 2], [999999999999999999, 0], [3, 0], [4, 2**63 - 1]]
+    path.write_text("")
+    assert read_id_file(path, 2).shape == (0, 2)
 
 
 def test_id_file_leading_zeros_are_one_id(tmp_path):
