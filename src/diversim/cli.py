@@ -99,10 +99,10 @@ def _load(args) -> LoadedConfig:
 def cmd_run(args) -> int:
     cfg = _load(args)
     out = _outdir(args.out)
-    ensembles, _, summary = sweeps.sweep(cfg, jobs=args.jobs)
+    memo: dict = {}  # the family's one graph; the snapshots reuse it and its colorings
+    ensembles, _, summary = sweeps.sweep(cfg, jobs=args.jobs, memo=memo)
     single = len(ensembles) == 1
-    # the members of a family share one network
-    graph = resolve_graph(cfg.scenario.network) if args.snapshot else None
+    graph = resolve_graph(cfg.scenario.network, memo) if args.snapshot else None
     for cell, mean in ensembles:
         suffix = "" if single else f"_{cell.defender.strategy.value}"
         sweeps.write_trace_csv(out / f"trace{suffix}.csv", mean)

@@ -27,11 +27,11 @@ import numpy as np
 
 from .netmodel import (
     COMPROMISED,
-    INVULNERABLE,
-    VULNERABLE,
     CommGraph,
     ConfigError,
     ImplementationPool,
+    program_offsets,
+    sorted_unique,
 )
 
 logger = logging.getLogger(__name__)
@@ -138,15 +138,15 @@ def plan(
     if spec.eta1 is not None:
         k = math.ceil(spec.eta1 * graph.n_nodes)
         sample = rng_sample.choice(graph.n_nodes, size=k, replace=False)
-        # np.union1d costs several times the sort of a sample drawn alone
-        nodes = np.sort(sample) if spec.fpr is None else np.union1d(nodes, sample)
+        # a sample drawn alone is distinct already
+        nodes = np.sort(sample) if spec.fpr is None else sorted_unique(np.concatenate((nodes, sample)))
     return nodes
 
 
 def redeploy(
     graph: CommGraph,
     pool: ImplementationPool,
-    vulnerable: np.ndarray,
+    codes: np.ndarray,
     installed: np.ndarray,
     state: np.ndarray,
     nodes: np.ndarray,
@@ -156,9 +156,10 @@ def redeploy(
     ``installed`` and ``state``; returns oc, the redeployed share of nodes.
 
     The new implementation is uniform over the program's other
-    implementations; x == 1 reinstalls the same one. ``vulnerable`` is the
-    (hbar, x) table of vulnerable implementations. A redeployed node is
-    never compromised afterwards.
+    implementations; x == 1 reinstalls the same one. ``codes`` is the run's
+    flat (hbar * x,) int8 table of the state, VULNERABLE or INVULNERABLE,
+    each (program, implementation) gives. A redeployed node is never
+    compromised afterwards.
     """
     if nodes.size:
         inst = installed[nodes]
@@ -166,7 +167,5 @@ def redeploy(
             r = rng.integers(0, pool.x - 1, size=nodes.size)
             inst = r + (r >= inst)
             installed[nodes] = inst
-        # one flat lookup; program * x would overflow int16 at x >= 16,384
-        codes = np.where(vulnerable, VULNERABLE, INVULNERABLE).astype(np.int8).ravel()
-        state[nodes] = codes[graph.program[nodes].astype(np.intp) * pool.x + inst]
+        state[nodes] = codes[program_offsets(graph, pool.x)[nodes] + inst]
     return nodes.size / graph.n_nodes

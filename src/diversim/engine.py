@@ -23,7 +23,6 @@ id within a pass and effects applied between passes. The three acting sets
 are fixed before any pass, so nodes falling in a step do not act in it. This
 is a deterministic linearization of concurrently acting agents; pass effects
 are idempotent, so within a pass the host order cannot change the outcome.
-``_mark_compromised`` records a stepped run's compromises, footholds included.
 
 State lives in flat numpy arrays indexed by node id, and a step is a
 handful of vectorized operations with no loop over agents. Discovery and
@@ -34,12 +33,17 @@ still be hit, pull from the latter. A push marks the nodes on those lists
 and tests each marked node once. Either way a step costs about the
 smaller of the two, not the agents' whole adjacency. Once a frame shows no
 compromised computer, no agent is left and no later step can compromise a
-node, so ``step`` skips the attack substep from then on. Only
-``_mark_compromised`` and ``redeploy`` write ``state``, so a step in which
-neither changes a node repeats the previous frame. The computer-level frame
-and the OS spread read the graph's slot table (``slot_node``, one node per
-program and computer): the frame reduces the gathered states over programs,
-and the spread gathers only the computers whose OS is compromised.
+node, so ``step`` skips the attack substep from then on. Only the attack
+substep, which writes each fall as it lands and records the step's falls
+in one ``_mark_compromised`` call, and ``redeploy`` write ``state``, so a
+step in which neither changes a node repeats the previous frame. The OS
+spread runs only when due (a run's first attack substep, a step where an
+OS fell, a redeploy since the previous attack substep); at any other step
+every application of a compromised OS is compromised already. The
+computer-level frame and the OS spread read the graph's slot table
+(``slot_node``, one node per program and computer): the frame reduces the
+gathered states over programs, and the spread gathers only the computers
+whose OS is compromised.
 """
 from __future__ import annotations
 
@@ -68,6 +72,8 @@ from .netmodel import (
     gather_neighbors,
     generate_synthetic_network,
     load_network_files,
+    program_offsets,
+    sorted_unique,
 )
 from .rng import Purpose, substream
 from .threat import (
@@ -222,7 +228,8 @@ class RunState:
 
     scenario: Scenario
     graph: CommGraph
-    vulnerable: np.ndarray
+    offset: np.ndarray  # program * x per node, a node's row in flat (hbar * x,) tables
+    codes: np.ndarray  # VULNERABLE or INVULNERABLE per implementation, a flat (hbar * x,) table
     installed: np.ndarray
     state: np.ndarray
     privesc_mask: np.ndarray
@@ -233,10 +240,7 @@ class RunState:
     rng_redeploy: np.random.Generator
     rng_proactive: np.random.Generator
     trace: Trace
-
-    @property
-    def pool(self) -> ImplementationPool:
-        return self.scenario.pool
+    spread_due: bool = True  # no step yet, or a redeploy since the last attack substep
 
 
 def _initial_config(scenario: Scenario, graph: CommGraph, run_index: int) -> np.ndarray:
@@ -270,12 +274,12 @@ def init_run(scenario: Scenario, run_index: int, graph: CommGraph | None = None)
         scenario.attacker.m4,
         substream(scenario.seed, run_index, Purpose.CATALOG),
     )
-    state = np.where(
-        vulnerable[graph.program, installed], VULNERABLE, INVULNERABLE
-    ).astype(np.int8)
+    offset = program_offsets(graph, pool.x)
+    codes = np.where(vulnerable, VULNERABLE, INVULNERABLE).astype(np.int8).ravel()
+    state = codes[offset + installed]
     nodes = scenario.attacker.initial_nodes
     if nodes is not None:
-        ini = np.unique(np.asarray(nodes, dtype=np.int64))
+        ini = sorted_unique(np.asarray(nodes, dtype=np.int64))
         if ini.size < len(nodes) or ini.size and (ini[0] < 0 or ini[-1] >= graph.n_nodes):
             raise ConfigError(f"initial_nodes must be distinct node ids in [0, {graph.n_nodes})")
     else:
@@ -290,7 +294,8 @@ def init_run(scenario: Scenario, run_index: int, graph: CommGraph | None = None)
     rs = RunState(
         scenario=scenario,
         graph=graph,
-        vulnerable=vulnerable,
+        offset=offset,
+        codes=codes,
         installed=installed,
         state=state,
         privesc_mask=privesc_mask,
@@ -303,16 +308,16 @@ def init_run(scenario: Scenario, run_index: int, graph: CommGraph | None = None)
         rng_proactive=substream(scenario.seed, run_index, Purpose.PROACTIVE_SAMPLE),
         trace=Trace.zeros(graph.n_computers, scenario.t_max + 1),
     )
+    state[ini] = COMPROMISED
     _mark_compromised(rs, ini, 0)
     _record_frame(rs, 0)
     return rs
 
 
 def _mark_compromised(rs: RunState, nodes: np.ndarray, t: int) -> None:
-    """Record the distinct, not yet compromised ``nodes`` falling at step t."""
+    """Record the distinct ``nodes`` that fell at step t, compromised in ``state`` already."""
     if not nodes.size:
         return
-    rs.state[nodes] = COMPROMISED
     rs.since[nodes] = t
     rs.trace.new_compromised[t] += nodes.size
     # the attacker controls these nodes now; its information on them is current
@@ -349,8 +354,10 @@ def _reached(
 
 
 def _attack_substep(rs: RunState, t: int) -> None:
-    g = rs.graph
-    hosts = np.flatnonzero(rs.state == COMPROMISED)
+    g, state = rs.graph, rs.state
+    spread, rs.spread_due = rs.spread_due, False
+    hosts = np.flatnonzero(state == COMPROMISED)
+    fell = [hosts[:0]]  # the step's falls, each written to state as it lands
     age = (t - rs.since[hosts]) & 3
     discovering = hosts[age == 2]
     escalating = hosts[age == 3]
@@ -369,26 +376,28 @@ def _attack_substep(rs: RunState, t: int) -> None:
             # non-decreasing OS nodes
             os_targets = g.os_node[apps]
             os_targets = os_targets[np.concatenate(([True], os_targets[1:] != os_targets[:-1]))]
-            hit = os_targets[
-                (rs.state[os_targets] == VULNERABLE)
-                & rs.privesc_mask[rs.installed[os_targets]]
-            ]
-            _mark_compromised(rs, hit, t)
+            hit = os_targets[(state[os_targets] == VULNERABLE) & rs.privesc_mask[rs.installed[os_targets]]]
+            state[hit] = COMPROMISED
+            fell.append(hit)
+            spread = spread or hit.size > 0
     if moving.size:
         def exploitable(v: np.ndarray | slice) -> np.ndarray:
             inst = rs.installed[v]
             return (
-                (rs.state[v] == VULNERABLE)
+                (state[v] == VULNERABLE)
                 & (rs.knowledge.impl[v] == inst)
-                & rs.lateral_mask[g.program[v], inst]
+                & rs.lateral_mask.ravel()[rs.offset[v] + inst]
             )
 
-        _mark_compromised(rs, _reached(g, moving, exploitable), t)
-
-    # a compromised OS takes all of its applications down in the same step;
-    # the OS node padding a computer's missing slots is compromised itself
-    apps = g.slot_node[:-1, rs.state[g.slot_node[-1]] == COMPROMISED].ravel()
-    _mark_compromised(rs, apps[rs.state[apps] != COMPROMISED], t)
+        fell.append(_reached(g, moving, exploitable))
+        state[fell[-1]] = COMPROMISED
+    if spread:
+        # a compromised OS takes all of its applications down in the same step;
+        # the OS node padding a computer's missing slots is compromised itself
+        apps = g.slot_node[:-1, state[g.slot_node[-1]] == COMPROMISED].ravel()
+        fell.append(apps[state[apps] != COMPROMISED])
+        state[fell[-1]] = COMPROMISED
+    _mark_compromised(rs, np.concatenate(fell), t)
 
 
 def _defense_substep(rs: RunState, t: int) -> bool:
@@ -399,8 +408,9 @@ def _defense_substep(rs: RunState, t: int) -> bool:
         return False
     before = rs.state[nodes]
     rs.trace.oc[t] = _defense_mod.redeploy(
-        rs.graph, rs.pool, rs.vulnerable, rs.installed, rs.state, nodes, rs.rng_redeploy
+        rs.graph, rs.scenario.pool, rs.codes, rs.installed, rs.state, nodes, rs.rng_redeploy
     )
+    rs.spread_due = True  # a redeployed application of a compromised OS falls again
     return bool((rs.state[nodes] != before).any())
 
 
@@ -414,7 +424,7 @@ def _record_frame(rs: RunState, t: int) -> None:
 
 
 def step(rs: RunState, t: int) -> None:
-    """Advance one time step, filling trace row t. Only ``_mark_compromised``
+    """Advance one time step, filling trace row t. Only the attack substep
     (every write counted in ``new_compromised[t]``) and ``redeploy`` write
     ``state``, the frame's one input, so a step in which neither changed a
     node repeats row t-1."""
@@ -439,7 +449,7 @@ def _fall(rs: RunState) -> None:
     g, tr, t_max = rs.graph, rs.trace, rs.scenario.t_max
     # an OS's only neighbors are its applications, its privesc sources
     exploitable = (rs.state == VULNERABLE) & np.where(
-        g.is_app, rs.lateral_mask[g.program, rs.installed], rs.privesc_mask[rs.installed])
+        g.is_app, rs.lateral_mask.ravel()[rs.offset + rs.installed], rs.privesc_mask[rs.installed])
     delay = np.where(exploitable, np.where(g.is_app, 4, 3), t_max + 1)
     fall = np.where(rs.state == COMPROMISED, 0, t_max + 1)  # t_max + 1: never
     t = 0

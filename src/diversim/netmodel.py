@@ -107,8 +107,8 @@ class Layer:
         canon = ids[_unique_pairs(rank[:, 0], rank[:, 1], ids.size)]
         if participants is None:
             return cls(canon, ids)
-        members = np.unique(np.asarray(participants, dtype=np.int64) if isinstance(participants, np.ndarray)
-                            else np.fromiter(participants, dtype=np.int64))
+        members = sorted_unique(np.asarray(participants, dtype=np.int64) if isinstance(participants, np.ndarray)
+                                else np.fromiter(participants, dtype=np.int64))
         missing = ~np.isin(canon, members).all(axis=1)
         if missing.any():
             u, w = canon[missing][0]
@@ -118,8 +118,14 @@ class Layer:
 
 def _unique_pairs(lo: np.ndarray, hi: np.ndarray, base: int) -> np.ndarray:
     """Distinct (lo, hi) rows in ascending order; ids lie in [0, base)."""
-    code = np.unique(lo * base + hi)
+    code = sorted_unique(lo * base + hi)
     return np.stack([code // base, code % base], axis=1)
+
+
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """``np.unique(values)`` by one sort; newer numpy's hash-based unique is far slower on int64."""
+    values = np.sort(values, axis=None)
+    return values[np.concatenate(([True], values[1:] != values[:-1]))[:values.size]]
 
 
 class CommGraph:
@@ -146,9 +152,9 @@ class CommGraph:
         if not layers:
             raise NetworkError("need at least one layer")
         if users is None:
-            users_arr = np.unique(np.concatenate([l.participants for l in layers]))
+            users_arr = sorted_unique(np.concatenate([l.participants for l in layers]))
         else:
-            users_arr = np.unique(np.fromiter(users, dtype=np.int64))
+            users_arr = sorted_unique(np.fromiter(users, dtype=np.int64))
         if not users_arr.size:
             raise NetworkError("empty user set")
         if users_arr[0] < 0:
@@ -242,6 +248,11 @@ def _freeze(value):
         return tuple(map(_freeze, value))
     value.flags.writeable = False
     return value
+
+
+def program_offsets(graph: CommGraph, x: int) -> np.ndarray:
+    """``program * x`` per node as intp, its row in flat (hbar * x,) tables; made once per graph."""
+    return derived(graph, ("program * x", x), lambda: graph.program.astype(np.intp) * x)
 
 
 def gather_neighbors(indptr: np.ndarray, indices: np.ndarray, hosts: np.ndarray) -> np.ndarray:
@@ -424,4 +435,4 @@ def load_network_files(
     ids = [l.participants for l in layers]
     if users_path is not None:
         ids.append(read_id_file(users_path, 1).ravel())
-    return layers, np.unique(np.concatenate(ids))
+    return layers, sorted_unique(np.concatenate(ids))

@@ -137,12 +137,12 @@ def _expand(base: Scenario, swept: Sequence[tuple[str, np.ndarray]]) -> list[tup
 
 # --- execution and derived metrics ---------------------------------------------------
 
-def _run_cells(cells: Sequence[Scenario], jobs: int) -> list[MeanTrace]:
+def _run_cells(cells: Sequence[Scenario], jobs: int, memo: dict) -> list[MeanTrace]:
     """The mean trace of every cell in order, from one ``run_cell`` call per
     distinct simulation: tau is read only by the reductions, and the cells of
     a family share network, t_max, runs, seed and defender order.
 
-    Every call shares one memo of graphs, dropped on return: each network is
+    Every call shares ``memo``, the command's graphs: each network is
     resolved once, and each process colors a graph once per pool while it
     lives. It also shares one pool of ``min(jobs, runs) - 1`` workers that
     adopt the memo (``engine.worker_pool``, none at 1), shut down on return
@@ -150,7 +150,6 @@ def _run_cells(cells: Sequence[Scenario], jobs: int) -> list[MeanTrace]:
     """
     keys = [(c.pool, c.q, c.attacker, replace(c.defender, tau=0.0)) for c in cells]
     means: dict[tuple, MeanTrace] = {}
-    memo: dict = {}
     pool = worker_pool(jobs, cells[0].runs, memo)
     with pool or nullcontext():
         for cell, key in zip(cells, keys):
@@ -160,7 +159,7 @@ def _run_cells(cells: Sequence[Scenario], jobs: int) -> list[MeanTrace]:
 
 
 def sweep(
-    cfg: LoadedConfig, swept: Sequence[tuple[str, np.ndarray]] = (), jobs: int = 1
+    cfg: LoadedConfig, swept: Sequence[tuple[str, np.ndarray]] = (), jobs: int = 1, memo=None
 ) -> tuple[list[tuple], list[dict], list[tuple]]:
     """Run every cell of the family along the swept grids.
 
@@ -168,7 +167,8 @@ def sweep(
     With no swept key these are tts (censored as t_max), awd and aoc per
     defender, then asd at its own tau. One swept key derives asd per tau
     of a tau sweep, vt of a q sweep and aec of a budget sweep; tau and
-    budget sweeps add the monoculture twin to a family without one.
+    budget sweeps add the monoculture twin to a family without one. The
+    cells' graphs are kept in ``memo`` if one is given (``resolve_graph``).
     """
     keys = [k for k, _ in swept]
     if len(set(keys)) != len(keys):
@@ -182,7 +182,7 @@ def sweep(
         specs.append(monoculture_baseline(cfg.scenario).defender)
     members = [(spec, _expand(variant(cfg.scenario, spec), swept)) for spec in specs]
     cells = [cell for _, pairs in members for _, cell in pairs]
-    traces = _run_cells(cells, jobs)
+    traces = _run_cells(cells, jobs, {} if memo is None else memo)
     cell_traces = iter(traces)
 
     rows: list[dict] = []

@@ -425,8 +425,8 @@ def test_run_snapshot_builds_the_network_once(tmp_path, monkeypatch):
     # one graph for every member's ensemble
     assert len(calls) == 1
     assert main(["run", "--config", str(cfgp), "--out", str(tmp_path / "b"), "--snapshot"]) == 0
-    # and one more for all of the snapshots
-    assert len(calls) == 1 + 2
+    # and the snapshots reuse it
+    assert len(calls) == 1 + 1
 
 
 # --- sweep -----------------------------------------------------------------------------
@@ -458,9 +458,8 @@ def test_run_snapshot_colors_each_graph_once(tmp_path, monkeypatch):
     calls = count_network_work(monkeypatch)
     cfgp = write_config(tmp_path, strategy="[static, reactive]", extra="  fpr: 0.1\n  fnr: 0.1\n")
     assert main(["run", "--config", str(cfgp), "--out", str(tmp_path / "out"), "--snapshot"]) == 0
-    # one coloring of the sweep's graph for both ensembles and one of the
-    # snapshots' graph for both snapshots, not one per snapshot run
-    assert calls["build_graph"] == 2 and calls["degree_priority_assignment"] == 2
+    # the snapshots reuse the sweep's graph and its coloring for both ensembles
+    assert calls["build_graph"] == 1 and calls["degree_priority_assignment"] == 1
 
 
 @pytest.mark.parametrize("network,strategy,grid,want", [

@@ -184,6 +184,11 @@ def test_hybrid_union_adds_the_sample(plan_env):
 
 # --- redeployment -------------------------------------------------------------------
 
+def state_codes(vulnerable: np.ndarray) -> np.ndarray:
+    """The flat (hbar * x,) table of the state each (program, implementation) gives."""
+    return np.where(vulnerable, VULNERABLE, INVULNERABLE).astype(np.int8).ravel()
+
+
 def test_redeploy_changes_impl_and_cures():
     g = build_graph([Layer.from_edges([(0, 1), (1, 2)])])
     pool = ImplementationPool(hbar=2, x=4)
@@ -191,7 +196,7 @@ def test_redeploy_changes_impl_and_cures():
     installed = np.zeros(g.n_nodes, dtype=np.int16)
     state = np.full(g.n_nodes, COMPROMISED, dtype=np.int8)
     nodes = np.arange(g.n_nodes)
-    oc = redeploy(g, pool, vuln, installed, state, nodes, np.random.default_rng(0))
+    oc = redeploy(g, pool, state_codes(vuln), installed, state, nodes, np.random.default_rng(0))
     assert (installed != 0).all()  # with x > 1 the implementation always changes
     assert (state != COMPROMISED).all()
     assert oc == 1.0
@@ -205,7 +210,7 @@ def test_redeploy_single_impl_reinstalls():
     vuln = np.ones((2, 1), dtype=bool)
     installed = np.zeros(g.n_nodes, dtype=np.int16)
     state = np.full(g.n_nodes, COMPROMISED, dtype=np.int8)
-    redeploy(g, pool, vuln, installed, state, np.array([0]), np.random.default_rng(0))
+    redeploy(g, pool, state_codes(vuln), installed, state, np.array([0]), np.random.default_rng(0))
     assert installed[0] == 0
     assert state[0] == VULNERABLE  # cured even though the impl repeats
     assert state[1] == COMPROMISED  # nodes outside the set keep their state
@@ -219,7 +224,7 @@ def test_redeploy_state_follows_new_impl():
     vuln = vul
     installed = np.zeros(g.n_nodes, dtype=np.int16)
     state = np.full(g.n_nodes, COMPROMISED, dtype=np.int8)
-    redeploy(g, pool, vuln, installed, state, np.arange(g.n_nodes), np.random.default_rng(1))
+    redeploy(g, pool, state_codes(vuln), installed, state, np.arange(g.n_nodes), np.random.default_rng(1))
     assert (installed == 1).all()
     assert (state == INVULNERABLE).all()
     # so many implementations that program * x overflows int16
@@ -231,7 +236,7 @@ def test_redeploy_state_follows_new_impl():
     installed = rng.integers(0, pool.x, size=g.n_nodes, dtype=np.int16)
     state = np.full(g.n_nodes, COMPROMISED, dtype=np.int8)
     nodes = np.arange(g.n_nodes)
-    redeploy(g, pool, vul, installed, state, nodes, rng)
+    redeploy(g, pool, state_codes(vul), installed, state, nodes, rng)
     want = np.where(vul[g.program[nodes], installed[nodes]], VULNERABLE, INVULNERABLE)
     assert (state[nodes] == want).all()
 
@@ -243,7 +248,7 @@ def test_redeploy_empty_set_is_noop():
     installed = np.ones(g.n_nodes, dtype=np.int16)
     state = np.full(g.n_nodes, VULNERABLE, dtype=np.int8)
     oc = redeploy(
-        g, pool, vuln, installed, state, np.empty(0, dtype=np.int64), np.random.default_rng(0)
+        g, pool, state_codes(vuln), installed, state, np.empty(0, dtype=np.int64), np.random.default_rng(0)
     )
     assert (installed == 1).all()
     assert (state == VULNERABLE).all()

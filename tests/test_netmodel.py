@@ -16,7 +16,7 @@ from diversim import (
     read_id_file,
     write_id_file,
 )
-from diversim.netmodel import _csr, _preferential_attachment, gather_neighbors
+from diversim.netmodel import _csr, _preferential_attachment, gather_neighbors, sorted_unique
 
 import reference
 from conftest import degrees_from_edges
@@ -209,6 +209,22 @@ def test_gather_neighbors_concatenates_the_hosts_slices(case):
     want = np.concatenate([indices[:0]] + [indices[indptr[h]:indptr[h + 1]] for h in hosts])
     assert got.dtype == indices.dtype
     assert np.array_equal(got, want)
+
+
+# small ranges repeat values; the int64 extremes check that nothing overflows
+int64s = st.one_of(st.integers(-3, 3), st.integers(-(2**63), 2**63 - 1))
+
+
+@given(st.lists(int64s, max_size=40))
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_sorted_unique_equals_np_unique(values):
+    arr = np.array(values, dtype=np.int64)
+    got = sorted_unique(arr)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, np.unique(arr))
+    # empty, and a 2-D array, flattened as np.unique does
+    assert sorted_unique(arr[:0]).size == 0
+    assert np.array_equal(sorted_unique(np.stack([arr, arr[::-1]])), np.unique(arr))
 
 
 @given(st.integers(0, 2**31 - 1), st.integers(2, 30), st.integers(2, 30))
