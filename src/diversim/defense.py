@@ -31,7 +31,6 @@ from .netmodel import (
     ConfigError,
     ImplementationPool,
     program_offsets,
-    sorted_unique,
 )
 
 logger = logging.getLogger(__name__)
@@ -115,9 +114,9 @@ def detect(state: np.ndarray, fpr: float, fnr: float, rng: np.random.Generator) 
     probability 1 - fnr, any other node with probability fpr."""
     u = rng.random(state.shape[0])
     flagged = u < fpr
-    compromised = np.flatnonzero(state == COMPROMISED)
+    compromised = (state == COMPROMISED).nonzero()[0]
     flagged[compromised] = u[compromised] < 1.0 - fnr
-    return np.flatnonzero(flagged)
+    return flagged.nonzero()[0]
 
 
 def plan(
@@ -137,9 +136,10 @@ def plan(
         nodes = detect(state, spec.fpr, spec.fnr, rng_detect)
     if spec.eta1 is not None:
         k = math.ceil(spec.eta1 * graph.n_nodes)
-        sample = rng_sample.choice(graph.n_nodes, size=k, replace=False)
-        # a sample drawn alone is distinct already
-        nodes = np.sort(sample) if spec.fpr is None else sorted_unique(np.concatenate((nodes, sample)))
+        mark = np.zeros(graph.n_nodes, dtype=bool)
+        mark[nodes] = True
+        mark[rng_sample.choice(graph.n_nodes, size=k, replace=False)] = True
+        nodes = mark.nonzero()[0]
     return nodes
 
 

@@ -23,6 +23,8 @@ id within a pass and effects applied between passes. The three acting sets
 are fixed before any pass, so nodes falling in a step do not act in it. This
 is a deterministic linearization of concurrently acting agents; pass effects
 are idempotent, so within a pass the host order cannot change the outcome.
+Escalation marks each computer with an escalating agent once and attacks
+its OS (``os_of_computer``); an OS agent's OS is itself, compromised already.
 
 State lives in flat numpy arrays indexed by node id, and a step is a
 handful of vectorized operations with no loop over agents. Discovery and
@@ -43,7 +45,9 @@ every application of a compromised OS is compromised already. The
 computer-level frame and the OS spread read the graph's slot table
 (``slot_node``, one node per program and computer): the frame reduces the
 gathered states over programs, and the spread gathers only the computers
-whose OS is compromised.
+whose OS is compromised. At about 1.7k nodes a step's cost is its numpy
+calls, not its data, so the hot path makes few, cheap ones: index arrays from
+``m.nonzero()[0]`` in place of boolean masks, boolean marks in place of sorts.
 """
 from __future__ import annotations
 
@@ -342,26 +346,24 @@ def _reached(
     entries = g.degree[sources].sum()
     if entries > g.n_nodes:
         # reduceat cannot reduce an empty segment
-        cand = np.flatnonzero(admits(slice(None)) & (g.degree > 0))
+        cand = (admits(slice(None)) & (g.degree > 0)).nonzero()[0]
         deg = g.degree[cand]
         if entries > deg.sum():
             mark[sources] = True
             hit = mark[gather_neighbors(g.indptr, g.indices, cand)]
-            return cand[np.logical_or.reduceat(hit, np.cumsum(deg) - deg)] if cand.size else cand
+            return cand[np.logical_or.reduceat(hit, deg.cumsum() - deg).nonzero()[0]] if cand.size else cand
     mark[gather_neighbors(g.indptr, g.indices, sources)] = True
-    reached = np.flatnonzero(mark)
-    return reached[admits(reached)]
+    reached = mark.nonzero()[0]
+    return reached[admits(reached).nonzero()[0]]
 
 
 def _attack_substep(rs: RunState, t: int) -> None:
     g, state = rs.graph, rs.state
     spread, rs.spread_due = rs.spread_due, False
-    hosts = np.flatnonzero(state == COMPROMISED)
+    hosts = (state == COMPROMISED).nonzero()[0]
     fell = [hosts[:0]]  # the step's falls, each written to state as it lands
     age = (t - rs.since[hosts]) & 3
-    discovering = hosts[age == 2]
-    escalating = hosts[age == 3]
-    moving = hosts[age == 0]
+    discovering, escalating, moving = (hosts[(age == phase).nonzero()[0]] for phase in (2, 3, 0))
     if discovering.size:
         # a host's own entry is current: it was observed when the host was
         # compromised, and a redeployed host is no longer compromised
@@ -370,16 +372,13 @@ def _attack_substep(rs: RunState, t: int) -> None:
 
         rs.knowledge.observe(_reached(g, discovering, stale), rs.installed)
     if escalating.size:
-        apps = escalating[g.is_app[escalating]]
-        if apps.size:
-            # node ids are computer-major, so ascending apps give
-            # non-decreasing OS nodes
-            os_targets = g.os_node[apps]
-            os_targets = os_targets[np.concatenate(([True], os_targets[1:] != os_targets[:-1]))]
-            hit = os_targets[(state[os_targets] == VULNERABLE) & rs.privesc_mask[rs.installed[os_targets]]]
-            state[hit] = COMPROMISED
-            fell.append(hit)
-            spread = spread or hit.size > 0
+        up = np.zeros(g.n_computers, dtype=bool)
+        up[g.computer[escalating]] = True
+        os_targets = g.os_of_computer[up.nonzero()[0]]
+        hit = (state[os_targets] == VULNERABLE) & rs.privesc_mask[rs.installed[os_targets]]
+        fell.append(os_targets[hit.nonzero()[0]])
+        state[fell[-1]] = COMPROMISED
+        spread = spread or fell[-1].size > 0
     if moving.size:
         def exploitable(v: np.ndarray | slice) -> np.ndarray:
             inst = rs.installed[v]
@@ -394,8 +393,8 @@ def _attack_substep(rs: RunState, t: int) -> None:
     if spread:
         # a compromised OS takes all of its applications down in the same step;
         # the OS node padding a computer's missing slots is compromised itself
-        apps = g.slot_node[:-1, state[g.slot_node[-1]] == COMPROMISED].ravel()
-        fell.append(apps[state[apps] != COMPROMISED])
+        apps = g.slot_node[:-1, (state[g.os_of_computer] == COMPROMISED).nonzero()[0]].ravel()
+        fell.append(apps[(state[apps] != COMPROMISED).nonzero()[0]])
         state[fell[-1]] = COMPROMISED
     _mark_compromised(rs, np.concatenate(fell), t)
 
@@ -417,10 +416,10 @@ def _defense_substep(rs: RunState, t: int) -> bool:
 def _record_frame(rs: RunState, t: int) -> None:
     slots = rs.state[rs.graph.slot_node]
     tr = rs.trace
-    tr.cc_count[t] = np.count_nonzero((slots == COMPROMISED).any(axis=0))
+    cc = np.count_nonzero(np.logical_or.reduce(slots == COMPROMISED))
     # a computer with any node not invulnerable is compromised or vulnerable
-    tr.vc_count[t] = np.count_nonzero((slots != INVULNERABLE).any(axis=0)) - tr.cc_count[t]
-    tr.ic_count[t] = tr.n_computers - tr.cc_count[t] - tr.vc_count[t]
+    vc = np.count_nonzero(np.logical_or.reduce(slots != INVULNERABLE)) - cc
+    tr.cc_count[t], tr.vc_count[t], tr.ic_count[t] = cc, vc, tr.n_computers - cc - vc
 
 
 def step(rs: RunState, t: int) -> None:

@@ -258,11 +258,11 @@ def program_offsets(graph: CommGraph, x: int) -> np.ndarray:
 def gather_neighbors(indptr: np.ndarray, indices: np.ndarray, hosts: np.ndarray) -> np.ndarray:
     """Concatenated neighbor lists for ``hosts`` without a Python loop."""
     start = indptr[hosts]
-    counts = indptr[hosts + 1] - start
-    ends = np.cumsum(counts)
-    # output entry ends[h] - counts[h] + j, the j-th of host h, is read from
-    # indptr[h] + j: its own position plus that host's offset
-    pos = np.repeat(start - ends + counts, counts) + np.arange(ends[-1] if ends.size else 0)
+    counts = indptr[1:][hosts] - start
+    # output entry ends[h] - counts[h] + j (ends: the running sum of counts), the
+    # j-th of host h, is read from indptr[h] + j: its own position plus that host's offset
+    pos = (start + counts - counts.cumsum()).repeat(counts)
+    pos += np.arange(pos.size)
     return indices[pos]
 
 

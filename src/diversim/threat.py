@@ -126,8 +126,9 @@ class AttackerKnowledge:
         once per occurrence)."""
         # installed implementations are never negative, so an unobserved
         # entry always counts as fresh
-        fresh = int((self.impl[nodes] != installed[nodes]).sum())
-        self.impl[nodes] = installed[nodes]
+        inst = installed[nodes]
+        fresh = int(np.count_nonzero(self.impl[nodes] != inst))
+        self.impl[nodes] = inst
         return fresh
 
 

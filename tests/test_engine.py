@@ -33,9 +33,10 @@ from diversim import (
     run,
     write_id_file,
 )
-from diversim import engine, netmodel, sweeps
+from diversim import defense, engine, netmodel, sweeps
 from diversim.engine import Trace, final_snapshot, init_run, resolve_graph
 from diversim.netmodel import COMPROMISED, INVULNERABLE, VULNERABLE, CommGraph
+from diversim.threat import AttackerKnowledge
 
 import reference
 from conftest import make_scenario, stepped
@@ -225,6 +226,61 @@ def test_attack_substep_runs_only_after_a_frame_with_a_compromised_computer(
     # the attack spread before it died, and the steps after its death were skipped
     assert trace.new_compromised[1:].any()
     assert len(calls) < scn.t_max
+
+
+@pytest.mark.parametrize("defender_first", [True, False], ids=["defender-first", "attacker-first"])
+@pytest.mark.parametrize("defender", [
+    DefenderSpec(Strategy.PROACTIVE, eta1=0.3, eta2=0.5),
+    DefenderSpec(Strategy.REACTIVE_ADAPTIVE, fpr=0.1, fnr=0.2),
+], ids=["proactive", "reactive"])
+def test_an_acting_ensemble_keeps_the_calls_the_benchmark_tracer_reads(
+    monkeypatch, defender, defender_first
+):
+    """perfbench's tracer wraps these functions by name and reconciles its
+    counts with the traces: an acting ensemble makes ``runs * t_max``
+    ``step`` and ``runs`` ``init_run`` calls, ``redeploy`` gets the
+    redeployed ids as its sixth positional argument, and ``observe``
+    returns its fresh count as a Python int."""
+    g = build_graph(generate_synthetic_network(30, 25, 0.5, 3, seed=1))
+    scn = make_scenario(
+        g,
+        pool=ImplementationPool(hbar=g.hbar, x=4),
+        attacker=AttackerSpec(m3=2, m4=4, initial_compromise_size=3),
+        defender=defender,
+        defender_first=defender_first,
+        t_max=30,
+        runs=3,
+    )
+    calls = {"step": 0, "init_run": 0}
+    redeployed, fresh = [], []
+    redeploy_, observe_ = defense.redeploy, AttackerKnowledge.observe
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def redeploy(*args, **kwargs):
+        redeployed.append(args[5].copy())
+        return redeploy_(*args, **kwargs)
+
+    def observe(*args, **kwargs):
+        fresh.append(observe_(*args, **kwargs))
+        return fresh[-1]
+
+    monkeypatch.setattr(engine, "step", counted("step", engine.step))
+    monkeypatch.setattr(engine, "init_run", counted("init_run", engine.init_run))
+    monkeypatch.setattr(defense, "redeploy", redeploy)
+    monkeypatch.setattr(AttackerKnowledge, "observe", observe)
+    _, traces = monte_carlo(scn, collect=True)
+    assert calls == {"step": scn.runs * scn.t_max, "init_run": scn.runs}
+    # each call's ids are the run's redeployed nodes at the step it fills
+    oc = [v for tr in traces for v in tr.oc if v]
+    assert [len(nodes) for nodes in redeployed] == [round(v * g.n_nodes) for v in oc]
+    assert all(np.array_equal(nodes, np.unique(nodes)) for nodes in redeployed)
+    assert redeployed and fresh
+    assert all(type(n) is int for n in fresh)
 
 
 FRAME_CASES = {

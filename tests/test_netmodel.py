@@ -205,10 +205,13 @@ def csr_hosts(draw):
 @settings(max_examples=150, derandomize=True, deadline=None)
 def test_gather_neighbors_concatenates_the_hosts_slices(case):
     indptr, indices, hosts = case
+    before = [a.copy() for a in case]
     got = gather_neighbors(indptr, indices, hosts)
     want = np.concatenate([indices[:0]] + [indices[indptr[h]:indptr[h + 1]] for h in hosts])
     assert got.dtype == indices.dtype
     assert np.array_equal(got, want)
+    # its arithmetic runs in place on arrays of its own, never on the inputs
+    assert all(np.array_equal(a, b) for a, b in zip(case, before))
 
 
 # small ranges repeat values; the int64 extremes check that nothing overflows
