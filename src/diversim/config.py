@@ -20,7 +20,6 @@ Example::
 """
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,17 +30,8 @@ from .engine import NetworkFiles, Scenario, SyntheticNetwork
 from .netmodel import ConfigError, ImplementationPool
 from .threat import AttackerSpec
 
-logger = logging.getLogger(__name__)
 
-
-_STRATEGY_ALIASES = {
-    "monoculture": Strategy.MONOCULTURE,
-    "static": Strategy.STATIC,
-    "proactive": Strategy.PROACTIVE,
-    "reactive": Strategy.REACTIVE_ADAPTIVE,
-    "reactive_adaptive": Strategy.REACTIVE_ADAPTIVE,
-    "hybrid": Strategy.HYBRID,
-}
+_STRATEGY_ALIASES = {s.value: s for s in Strategy} | {"reactive_adaptive": Strategy.REACTIVE_ADAPTIVE}
 
 
 @dataclass(frozen=True)

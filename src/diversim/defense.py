@@ -18,7 +18,6 @@ implementation, never compromised, and any agent on it is destroyed.
 """
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -32,8 +31,6 @@ from .netmodel import (
     ImplementationPool,
     program_offsets,
 )
-
-logger = logging.getLogger(__name__)
 
 
 class Strategy(Enum):

@@ -16,14 +16,11 @@ with array operations, and the result is the node-by-node one.
 """
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .netmodel import CommGraph, ImplementationPool, derived, gather_neighbors
-
-logger = logging.getLogger(__name__)
 
 #: full sweeps after which ``color_flipping`` stops short of a fixed point
 MAX_FLIP_SWEEPS = 50
@@ -38,8 +35,6 @@ class ColoringReport:
 
 def count_defective_edges(graph: CommGraph, inst: np.ndarray) -> ColoringReport:
     e = graph.sp_edges
-    if len(e) == 0:
-        return ColoringReport(0, tuple(0 for _ in range(graph.hbar)), 0)
     bad = inst[e[:, 0]] == inst[e[:, 1]]
     per = np.bincount(graph.program[e[bad, 0]], minlength=graph.hbar)
     return ColoringReport(int(bad.sum()), tuple(int(c) for c in per), 0)

@@ -454,7 +454,7 @@ def _fall(rs: RunState) -> None:
     t = 0
     while t <= t_max:
         # an OS takes its applications down at once, a t=0 foothold at t=1
-        apps = g.slot_node[:-1, fall[g.slot_node[-1]] == t].ravel()
+        apps = g.slot_node[:-1, fall[g.os_of_computer] == t].ravel()
         apps = apps[fall[apps] > t]
         fall[apps] = max(t, 1)
         hit = gather_neighbors(g.indptr, g.indices, np.flatnonzero(fall == t))

@@ -23,7 +23,6 @@ participation matrix without a loop over computers or links.
 """
 from __future__ import annotations
 
-import logging
 import re
 import weakref
 from dataclasses import dataclass
@@ -31,8 +30,6 @@ from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-
-logger = logging.getLogger(__name__)
 
 # node states shared by the whole simulator
 VULNERABLE = 0
@@ -131,20 +128,21 @@ def sorted_unique(values: np.ndarray) -> np.ndarray:
 class CommGraph:
     """Program-level communication graph with precomputed index arrays.
 
+    ``users`` defaults to the union of layer participants. Supplying extra
+    users that participate in no layer is an error: such a computer would
+    have no application node.
+
     Node attributes are stored as flat arrays indexed by node id:
     ``program`` (program index, OS == hbar-1), ``computer`` (computer
-    index), ``os_node`` (the id of the node's computer's OS node).
-    ``comp_start`` delimits the contiguous node-id range of each computer;
-    ``app_node[c, j]`` is computer c's layer-j application node (-1 if
-    absent) and ``os_of_computer[c]`` its OS node. ``slot_node`` is the
-    C-contiguous (hbar, n_computers) table whose ``[p, c]`` is computer c's
-    program-p node, or c's OS node where c lacks program p; a repeated node
-    changes no per-computer "any", so per-computer reductions run over its
-    axis 0. Adjacency is CSR
-    (``indptr``/``indices``); ``sp_indptr``/``sp_indices`` restrict it to
-    same-program neighbors, the only ones that matter for defective edges.
-    ``edges`` and its same-program rows ``sp_edges`` list each link once,
-    lower id first, in ascending order.
+    index) and ``is_app``. ``slot_node`` is the C-contiguous
+    (hbar, n_computers) table whose ``[p, c]`` is computer c's program-p
+    node, or c's OS node where c lacks program p; a repeated node changes no
+    per-computer "any", so per-computer reductions run over its axis 0. Its
+    last row is ``os_of_computer``, each computer's OS node. Adjacency is CSR
+    (``indptr``/``indices``, with ``degree``); ``sp_indptr``/``sp_indices``
+    restrict it to same-program neighbors, the only ones that matter for
+    defective edges. ``edges`` and its same-program rows ``sp_edges`` list
+    each link once, lower id first, in ascending order.
     """
 
     def __init__(self, layers: Sequence[Layer], users: Iterable[int] | None = None):
@@ -181,29 +179,26 @@ class CommGraph:
 
         # computer-major node numbering: apps in program order, then the OS
         node = np.cumsum(slots.ravel(), dtype=np.int64).reshape(slots.shape) - 1
-        self.comp_start = np.concatenate(([0], node[:, -1] + 1))
-        self.n_nodes = int(self.comp_start[-1])
+        self.n_nodes = int(node[-1, -1]) + 1
         computer, program = np.nonzero(slots)
         self.program = program.astype(np.int16)
         self.computer = computer.astype(np.int64)
-        self.app_node = np.where(slots[:, :-1], node[:, :-1], -1)
-        self.os_of_computer = self.comp_start[1:] - 1
-        self.os_node = self.os_of_computer[self.computer]
         self.is_app = self.program != self.os_program
         self.slot_node = np.ascontiguousarray(np.where(slots, node, node[:, -1:]).T)
+        self.os_of_computer = self.slot_node[-1]
 
         # intra-computer: every pair of occupied slots; inter-computer: a
         # layer-j link joins the layer-j slots, lower user (and node) first
+        app_node = np.where(slots[:, :-1], node[:, :-1], -1)
         ends = []
         for i in range(self.hbar - 1):
             for k in range(i + 1, self.hbar):
                 both = slots[:, i] & slots[:, k]
                 ends.append(np.stack([node[both, i], node[both, k]], axis=1))
         for j, layer in enumerate(layers):
-            ends.append(self.app_node[np.searchsorted(users_arr, layer.edges), j])
+            ends.append(app_node[np.searchsorted(users_arr, layer.edges), j])
         ends = np.concatenate(ends)
         self.edges = _unique_pairs(ends[:, 0], ends[:, 1], self.n_nodes)
-        self.n_edges = len(self.edges)
 
         self.indptr, self.indices = _csr(self.n_nodes, self.edges)
         sp = self.edges[self.program[self.edges[:, 0]] == self.program[self.edges[:, 1]]]
@@ -220,14 +215,7 @@ def _csr(n: int, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return indptr, code % n
 
 
-def build_graph(layers: Sequence[Layer], users: Iterable[int] | None = None) -> CommGraph:
-    """Assemble the communication graph for the given layers.
-
-    ``users`` defaults to the union of layer participants. Supplying extra
-    users that participate in no layer is an error: such a computer would
-    have no application node.
-    """
-    return CommGraph(layers, users)
+build_graph = CommGraph
 
 
 # graph -> {key: what the graph fixes}, for as long as the graph lives
@@ -392,7 +380,8 @@ def read_id_file(path: str | Path, width: int) -> np.ndarray:
         with open(path) as fh:
             text = fh.read()
     except FileNotFoundError:
-        raise NetworkError(f"network file not found: {path}") from None
+        where = "" if Path(path).is_absolute() else f" (resolved against the working directory {Path.cwd()})"
+        raise NetworkError(f"network file not found: {path}{where}") from None
     except (OSError, UnicodeDecodeError) as exc:
         raise NetworkError(f"cannot read network file {path}: {exc}") from None
     body = _COMMENTS.sub("", text)

@@ -14,7 +14,6 @@ sweep and summary files, every value formatted by ``_fmt``.
 """
 from __future__ import annotations
 
-import logging
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import replace
@@ -29,8 +28,6 @@ from .defense import KNOB_NAMES, DefenderSpec, InitialAlgo, Strategy
 from .engine import MeanTrace, Scenario, Trace, monte_carlo, worker_pool
 from .netmodel import vulnerable_count
 from .threat import max_catalog
-
-logger = logging.getLogger(__name__)
 
 SWEEP_KEYS = (
     "tau", "q", "budget", "x",

@@ -134,7 +134,7 @@ def agent_decide(agent, knowledge, catalog, graph, config_installed, state) -> A
     if agent.phase == AttackPhase.PRIVILEGE_ESCALATION:
         if graph.program[host] == graph.os_program:
             return AttackAction("compromise")
-        osn = int(graph.os_node[host])
+        osn = int(graph.os_of_computer[graph.computer[host]])
         if state[osn] == VULNERABLE and int(config_installed[osn]) in catalog.privilege_escalation:
             return AttackAction("compromise", (osn,))
         return AttackAction("compromise")
@@ -286,7 +286,7 @@ class ReferenceRun:
         for agent in acting:
             agent.phase = AttackPhase(int(PHASE_AFTER[agent.phase]))
         for v in range(g.n_nodes):
-            osn = int(g.os_node[v])
+            osn = int(g.os_of_computer[g.computer[v]])
             if g.is_app[v] and self.state[v] != COMPROMISED and self.state[osn] == COMPROMISED:
                 self._compromise(v, newly)
         for v in newly:
@@ -302,10 +302,12 @@ class ReferenceRun:
 def frame(graph, state) -> tuple[int, int, int]:
     """Computers with a compromised node, computers with a vulnerable node
     and none compromised, and the rest, read computer by computer from the
-    node-id ranges ``comp_start`` delimits."""
+    nodes ``computer`` assigns each."""
+    nodes = [[] for _ in range(graph.n_computers)]
+    for v, c in enumerate(graph.computer):
+        nodes[int(c)].append(int(state[v]))
     cc = vc = 0
-    for c in range(graph.n_computers):
-        states = [int(s) for s in state[int(graph.comp_start[c]):int(graph.comp_start[c + 1])]]
+    for states in nodes:
         if COMPROMISED in states:
             cc += 1
         elif VULNERABLE in states:
@@ -472,7 +474,7 @@ class ReferenceGraph:
         self.hbar = len(layers) + 1
         self.os_program = self.hbar - 1
 
-        program, computer, comp_start = [], [], [0]
+        program, computer = [], []
         app_node = [[-1] * len(layers) for _ in users]
         os_of_computer = []
         for c, u in enumerate(users):
@@ -484,14 +486,10 @@ class ReferenceGraph:
             os_of_computer.append(len(program))
             program.append(self.os_program)
             computer.append(c)
-            comp_start.append(len(program))
         self.n_nodes = len(program)
         self.program = np.asarray(program, dtype=np.int16)
         self.computer = np.asarray(computer, dtype=np.int64)
-        self.comp_start = np.asarray(comp_start, dtype=np.int64)
-        self.app_node = np.asarray(app_node, dtype=np.int64).reshape(len(users), len(layers))
         self.os_of_computer = np.asarray(os_of_computer, dtype=np.int64)
-        self.os_node = np.asarray([os_of_computer[c] for c in computer], dtype=np.int64)
         self.is_app = np.asarray([p != self.os_program for p in program], dtype=bool)
         # a program the computer lacks takes the computer's OS node
         slot_node = [[] for _ in range(self.hbar)]
@@ -516,7 +514,6 @@ class ReferenceGraph:
         ordered = sorted(edges)
         same = [(a, b) for a, b in ordered if program[a] == program[b]]
         self.edges = np.asarray(ordered, dtype=np.int64).reshape(-1, 2)
-        self.n_edges = len(ordered)
         self.sp_edges = np.asarray(same, dtype=np.int64).reshape(-1, 2)
         self.indptr, self.indices = _csr(self.n_nodes, ordered)
         self.sp_indptr, self.sp_indices = _csr(self.n_nodes, same)

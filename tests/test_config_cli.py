@@ -10,6 +10,7 @@ import pytest
 
 from diversim import AttackerSpec, ConfigError, InitialAlgo, Strategy, engine, load_scenario, sweeps
 from diversim.cli import main
+from diversim.defense import KNOBS
 from diversim.engine import NetworkFiles, SyntheticNetwork, resolve_graph
 
 
@@ -141,10 +142,12 @@ def test_single_strategy_rejects_foreign_knobs(tmp_path):
 
 
 def test_reactive_alias(tmp_path):
-    extra = "  fpr: 0.1\n  fnr: 0.1\n"
-    for name in ("reactive", "reactive_adaptive"):
+    reactive = Strategy.REACTIVE_ADAPTIVE
+    names = [(n, reactive) for n in ("reactive", "reactive_adaptive", "Reactive", "REACTIVE_ADAPTIVE")]
+    for name, strategy in names + [(s.value, s) for s in Strategy]:
+        extra = "".join(f"  {k}: 0.1\n" for k in KNOBS[strategy][0])
         cfg = load_scenario(write_config(tmp_path, strategy=name, extra=extra))
-        assert cfg.defenders[0].strategy is Strategy.REACTIVE_ADAPTIVE
+        assert cfg.defenders[0].strategy is strategy
 
 
 @pytest.mark.parametrize(
@@ -838,7 +841,8 @@ FILES_SCENARIO = {
 
 
 @pytest.mark.parametrize("edit,argv,message", [
-    (("scn.yaml", "l1.edges", "gone.edges"), ["run"], "network file not found: gone.edges"),
+    (("scn.yaml", "l1.edges", "gone.edges"), ["run"],
+     "network file not found: gone.edges (resolved against the working directory {cwd})"),
     (("scn.yaml", "users.txt", "gone.txt"), ["run"], "network file not found: gone.txt"),
     (("l2.edges", "0 2", "0 x"), ["run"], "l2.edges:1: non-integer id in '0 x'"),
     (("l2.edges", "0 2", "0 1_0"), ["run"], "l2.edges:1: non-integer id in '0 1_0'"),
@@ -868,7 +872,7 @@ def test_rejected_input_exits_two(tmp_path, capsys, monkeypatch, edit, argv, mes
     # a directory where a file is expected
     (tmp_path / "nets").mkdir()
     assert main([argv[0], "--config", "scn.yaml", "--out", "out"] + argv[1:]) == 2
-    assert f"error: {message}" in capsys.readouterr().err
+    assert f"error: {message.replace('{cwd}', str(Path.cwd()))}" in capsys.readouterr().err
 
 
 def test_unwritable_out_exits_three(tmp_path, capsys):

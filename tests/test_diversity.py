@@ -58,6 +58,14 @@ def test_count_ignores_cross_program_matches(path_graph):
     assert count_defective_edges(g, inst).defective_edges == 0
 
 
+def test_count_on_a_graph_without_same_program_edges():
+    # members without links: every edge joins two programs of one computer
+    g = build_graph([Layer.from_edges([], participants=[0, 1, 2]), Layer.from_edges([], participants=[1, 2])])
+    assert g.sp_edges.shape == (0, 2)
+    inst = np.zeros(g.n_nodes, dtype=np.int16)
+    assert count_defective_edges(g, inst) == diversity.ColoringReport(0, (0,) * g.hbar, 0)
+
+
 def test_per_program_counts_sum(overlap_graph):
     pool = ImplementationPool(hbar=overlap_graph.hbar, x=2)
     cfg = random_coloring(overlap_graph, pool, np.random.default_rng(0))

@@ -61,7 +61,7 @@ def test_single_isolated_user_gets_app_and_os():
     g = build_graph([Layer.from_edges([], participants=[4])])
     assert g.n_computers == 1
     assert g.n_nodes == 2
-    assert g.n_edges == 1
+    assert len(g.edges) == 1
     assert sorted(g.program.tolist()) == [0, 1]
     # the only edge pairs the app with its own OS
     assert g.edges.tolist() == [[0, 1]]
@@ -73,7 +73,7 @@ def test_two_users_two_layers_one_link():
     g = build_graph([layer0, layer1])
     assert g.n_nodes == 6
     # per computer: app0-OS, app1-OS, app0-app1; plus the one layer-0 link
-    assert g.n_edges == 7
+    assert len(g.edges) == 7
     inter = g.edges[g.computer[g.edges[:, 0]] != g.computer[g.edges[:, 1]]]
     assert len(inter) == 1
     a, b = inter[0]
@@ -87,20 +87,20 @@ def test_overlap_graph_counts(overlap_graph):
     assert g.n_nodes == 13
     assert g.hbar == 3
     assert g.os_program == 2
-    counts = np.diff(g.comp_start)
+    counts = np.bincount(g.computer)
     assert sorted(counts.tolist()) == [2, 2, 3, 3, 3]
 
 
 def test_overlap_graph_node_numbering(overlap_graph):
     g = overlap_graph
     # computer-major: within a computer apps come in program order, OS last
+    assert (np.diff(g.computer) >= 0).all()
     for c in range(g.n_computers):
-        lo, hi = int(g.comp_start[c]), int(g.comp_start[c + 1])
-        progs = g.program[lo:hi].tolist()
+        nodes = np.flatnonzero(g.computer == c)
+        progs = g.program[nodes].tolist()
         assert progs == sorted(progs)
         assert progs[-1] == g.os_program
-        assert int(g.os_of_computer[c]) == hi - 1
-        assert (g.computer[lo:hi] == c).all()
+        assert int(g.os_of_computer[c]) == nodes[-1]
 
 
 def test_overlap_graph_edges(overlap_graph):
@@ -248,7 +248,7 @@ def test_random_two_layer_graphs_well_formed(seed, n1, n2):
     assert g.n_nodes == len(users) + len(users1) + len(users2)
     # every computer has one OS node and at least one app node
     assert int((g.program == g.os_program).sum()) == g.n_computers
-    assert np.diff(g.comp_start).min() >= 2
+    assert np.bincount(g.computer).min() >= 2
     # CSR degree agrees with the edge list
     assert np.array_equal(g.degree, degrees_from_edges(g.n_nodes, g.edges))
 
@@ -274,7 +274,7 @@ def raw_layers(draw):
 
 
 GRAPH_ARRAYS = (
-    "program", "computer", "comp_start", "app_node", "os_of_computer", "os_node", "is_app",
+    "program", "computer", "os_of_computer", "is_app",
     "edges", "indptr", "indices", "sp_edges", "sp_indptr", "sp_indices", "degree", "slot_node",
 )
 
@@ -290,12 +290,18 @@ def test_graph_matches_the_computer_by_computer_build(network):
         assert sorted(int(u) for u in layer.participants) == members
     g = build_graph(layers, users)
     want = reference.ReferenceGraph(canon, users)
-    for name in ("n_computers", "hbar", "os_program", "n_nodes", "n_edges"):
+    for name in ("n_computers", "hbar", "os_program", "n_nodes"):
         assert getattr(g, name) == getattr(want, name), name
     for name in GRAPH_ARRAYS:
         got, ref = getattr(g, name), getattr(want, name)
         assert got.dtype == ref.dtype and np.array_equal(got, ref), name
     assert g.slot_node.flags.c_contiguous
+    # every node has a neighbor, and an OS node's neighbors are exactly its
+    # computer's applications
+    assert g.degree.min() >= 1
+    for c, os_node in enumerate(g.os_of_computer):
+        apps = np.flatnonzero((g.computer == c) & g.is_app)
+        assert np.array_equal(g.indices[g.indptr[os_node]:g.indptr[os_node + 1]], apps)
 
 
 # --- implementation pool and vulnerabilities ------------------------------------
@@ -486,6 +492,13 @@ def test_id_file_leading_zeros_are_one_id(tmp_path):
     path = tmp_path / "zeros.edges"
     path.write_text("0" * 5000 + "7 00\n")
     assert read_id_file(path, 2).tolist() == [[7, 0]]
+
+
+def test_missing_id_file_at_an_absolute_path(tmp_path):
+    path = tmp_path / "gone.edges"
+    with pytest.raises(NetworkError) as err:
+        read_id_file(path, 2)
+    assert str(err.value) == f"network file not found: {path}"
 
 
 def test_users_file(tmp_path):

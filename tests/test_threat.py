@@ -152,7 +152,7 @@ def test_discovery_observes_host_and_neighbors(decide_env):
 
 def test_privilege_escalation_targets_local_os(decide_env):
     g, installed, state, cat, know = decide_env
-    osn = int(g.os_node[2])
+    osn = int(g.os_of_computer[g.computer[2]])
     act = decide(g, know, cat, installed, state, 2, AttackPhase.PRIVILEGE_ESCALATION)
     assert act.kind == "compromise" and act.targets == (osn,)
     # catalog without that OS implementation: no local target
