@@ -31,6 +31,7 @@ from .netmodel import (
     ImplementationPool,
     program_offsets,
 )
+from .rng import DrawAhead
 
 
 class Strategy(Enum):
@@ -112,7 +113,8 @@ def detect(state: np.ndarray, fpr: float, fnr: float, rng: np.random.Generator) 
     u = rng.random(state.shape[0])
     flagged = u < fpr
     compromised = (state == COMPROMISED).nonzero()[0]
-    flagged[compromised] = u[compromised] < 1.0 - fnr
+    if compromised.size:  # none once a reactive attack has died
+        flagged[compromised] = u[compromised] < 1.0 - fnr
     return flagged.nonzero()[0]
 
 
@@ -147,21 +149,21 @@ def redeploy(
     installed: np.ndarray,
     state: np.ndarray,
     nodes: np.ndarray,
-    rng: np.random.Generator,
+    draws: DrawAhead,
 ) -> float:
     """Replace implementations on ``nodes`` (distinct ids) in place, in
     ``installed`` and ``state``; returns oc, the redeployed share of nodes.
 
     The new implementation is uniform over the program's other
-    implementations; x == 1 reinstalls the same one. ``codes`` is the run's
-    flat (hbar * x,) int8 table of the state, VULNERABLE or INVULNERABLE,
-    each (program, implementation) gives. A redeployed node is never
-    compromised afterwards.
+    implementations, taken from ``draws`` of ``integers(0, x - 1)``; x == 1
+    reinstalls the same one. ``codes`` is the run's flat (hbar * x,) int8
+    table of the state, VULNERABLE or INVULNERABLE, each (program,
+    implementation) gives. A redeployed node is never compromised afterwards.
     """
     if nodes.size:
         inst = installed[nodes]
         if pool.x > 1:
-            r = rng.integers(0, pool.x - 1, size=nodes.size)
+            r = draws.take(nodes.size)
             inst = r + (r >= inst)
             installed[nodes] = inst
         state[nodes] = codes[program_offsets(graph, pool.x)[nodes] + inst]

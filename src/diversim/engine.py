@@ -79,7 +79,7 @@ from .netmodel import (
     program_offsets,
     sorted_unique,
 )
-from .rng import Purpose, substream
+from .rng import DrawAhead, Purpose, substream
 from .threat import (
     AttackerKnowledge,
     AttackerSpec,
@@ -241,7 +241,9 @@ class RunState:
     knowledge: AttackerKnowledge
     since: np.ndarray
     rng_detector: np.random.Generator
-    rng_redeploy: np.random.Generator
+    # drawn ahead in blocks: the per-call values in order; only the generator's
+    # end state, which nothing reads, runs ahead
+    rng_redeploy: DrawAhead
     rng_proactive: np.random.Generator
     trace: Trace
     spread_due: bool = True  # no step yet, or a redeploy since the last attack substep
@@ -308,7 +310,7 @@ def init_run(scenario: Scenario, run_index: int, graph: CommGraph | None = None)
         # entries are read only while compromised
         since=np.zeros(graph.n_nodes, dtype=np.int32),
         rng_detector=substream(scenario.seed, run_index, Purpose.DETECTOR),
-        rng_redeploy=substream(scenario.seed, run_index, Purpose.REDEPLOY),
+        rng_redeploy=DrawAhead(substream(scenario.seed, run_index, Purpose.REDEPLOY), pool.x - 1),
         rng_proactive=substream(scenario.seed, run_index, Purpose.PROACTIVE_SAMPLE),
         trace=Trace.zeros(graph.n_computers, scenario.t_max + 1),
     )

@@ -13,6 +13,7 @@ from diversim import (
 )
 from diversim.netmodel import COMPROMISED, INVULNERABLE, VULNERABLE
 from diversim.defense import KNOBS, detect, plan, redeploy
+from diversim.rng import DrawAhead
 
 
 # --- knob validation -------------------------------------------------------------
@@ -196,7 +197,8 @@ def test_redeploy_changes_impl_and_cures():
     installed = np.zeros(g.n_nodes, dtype=np.int16)
     state = np.full(g.n_nodes, COMPROMISED, dtype=np.int8)
     nodes = np.arange(g.n_nodes)
-    oc = redeploy(g, pool, state_codes(vuln), installed, state, nodes, np.random.default_rng(0))
+    draws = DrawAhead(np.random.default_rng(0), pool.x - 1)
+    oc = redeploy(g, pool, state_codes(vuln), installed, state, nodes, draws)
     assert (installed != 0).all()  # with x > 1 the implementation always changes
     assert (state != COMPROMISED).all()
     assert oc == 1.0
@@ -210,7 +212,8 @@ def test_redeploy_single_impl_reinstalls():
     vuln = np.ones((2, 1), dtype=bool)
     installed = np.zeros(g.n_nodes, dtype=np.int16)
     state = np.full(g.n_nodes, COMPROMISED, dtype=np.int8)
-    redeploy(g, pool, state_codes(vuln), installed, state, np.array([0]), np.random.default_rng(0))
+    draws = DrawAhead(np.random.default_rng(0), pool.x - 1)
+    redeploy(g, pool, state_codes(vuln), installed, state, np.array([0]), draws)
     assert installed[0] == 0
     assert state[0] == VULNERABLE  # cured even though the impl repeats
     assert state[1] == COMPROMISED  # nodes outside the set keep their state
@@ -224,7 +227,8 @@ def test_redeploy_state_follows_new_impl():
     vuln = vul
     installed = np.zeros(g.n_nodes, dtype=np.int16)
     state = np.full(g.n_nodes, COMPROMISED, dtype=np.int8)
-    redeploy(g, pool, state_codes(vuln), installed, state, np.arange(g.n_nodes), np.random.default_rng(1))
+    draws = DrawAhead(np.random.default_rng(1), pool.x - 1)
+    redeploy(g, pool, state_codes(vuln), installed, state, np.arange(g.n_nodes), draws)
     assert (installed == 1).all()
     assert (state == INVULNERABLE).all()
     # so many implementations that program * x overflows int16
@@ -236,7 +240,7 @@ def test_redeploy_state_follows_new_impl():
     installed = rng.integers(0, pool.x, size=g.n_nodes, dtype=np.int16)
     state = np.full(g.n_nodes, COMPROMISED, dtype=np.int8)
     nodes = np.arange(g.n_nodes)
-    redeploy(g, pool, state_codes(vul), installed, state, nodes, rng)
+    redeploy(g, pool, state_codes(vul), installed, state, nodes, DrawAhead(rng, pool.x - 1))
     want = np.where(vul[g.program[nodes], installed[nodes]], VULNERABLE, INVULNERABLE)
     assert (state[nodes] == want).all()
 
@@ -248,8 +252,27 @@ def test_redeploy_empty_set_is_noop():
     installed = np.ones(g.n_nodes, dtype=np.int16)
     state = np.full(g.n_nodes, VULNERABLE, dtype=np.int8)
     oc = redeploy(
-        g, pool, state_codes(vuln), installed, state, np.empty(0, dtype=np.int64), np.random.default_rng(0)
+        g, pool, state_codes(vuln), installed, state, np.empty(0, dtype=np.int64),
+        DrawAhead(np.random.default_rng(0), pool.x - 1),
     )
     assert (installed == 1).all()
     assert (state == VULNERABLE).all()
     assert oc == 0.0
+
+
+@pytest.mark.parametrize("pending", [False, True], ids=["whole", "half-pending"])
+@pytest.mark.parametrize("high", [1, 9, 19, 32766])
+def test_draw_ahead_takes_what_per_call_draws_return(high, pending):
+    """Blocks drawn ahead, leftovers carried over a refill, give the values
+    of one ``integers(0, high, size=k)`` call per take on a twin generator,
+    also when a draw before them left half a 64-bit output pending."""
+    rng, twin = np.random.default_rng(4), np.random.default_rng(4)
+    if pending:
+        rng.integers(10)
+        twin.integers(10)
+    draws = DrawAhead(rng, high)
+    block = DrawAhead.BLOCK
+    for k in (0, 1, 3, block - 1, block + 1, 2 * block + 3):
+        got = draws.take(k)
+        assert got.dtype == np.int16
+        assert got.tolist() == twin.integers(0, high, size=k).tolist(), k

@@ -5,7 +5,9 @@ every step, and the rows of that stepped run and of ``run`` (which solves a
 passive-defender run without stepping it) must equal the stepper's. The
 engine keeps no agents, so the state check derives them: one on every
 compromised node, in the phase that the steps since the node fell give. A
-fixed example has redeployed nodes compromised again.
+fixed example has redeployed nodes compromised again. A reactive ensemble
+whose runs each refill their drawn-ahead redeploy choices more than once is
+checked the same way against the stepper, which draws them one call per step.
 
 Discovery and lateral movement find their targets with ``engine._reached``,
 which either pushes from the agents' adjacency lists or pulls from the
@@ -33,10 +35,13 @@ from diversim import (
     Scenario,
     Strategy,
     build_graph,
+    generate_synthetic_network,
+    monte_carlo,
     run,
 )
 from diversim import engine
 from diversim.netmodel import COMPROMISED, vulnerable_count
+from diversim.rng import DrawAhead
 
 from conftest import stepped
 from reference import AttackPhase, ReferenceRun, _csr, neighbors
@@ -294,3 +299,38 @@ def test_reached_matches_neighbor_sets(direction, data):
     want = sorted({int(w) for v in sources for w in neighbors(g, v) if admitted[w]})
     assert got.tolist() == want
     assume(taken == Counter({("admits", direction): 1}))
+
+
+# --- across a refill of the redeploy draws ------------------------------------------
+
+@pytest.mark.parametrize("defender_first", [True, False], ids=["defender-first", "attacker-first"])
+def test_reactive_ensemble_matches_reference_across_redeploy_refills(defender_first):
+    """Each run takes its redeploy choices from blocks drawn ahead; the
+    reference draws one ``integers`` call per redeploying step. A detector
+    that misses most compromises keeps agents acting while every run draws
+    more than two blocks."""
+    graph = build_graph(generate_synthetic_network(30, 25, 0.5, 3, seed=1))
+    pool = ImplementationPool(hbar=graph.hbar, x=4)
+    scn = Scenario(
+        network=PrebuiltNetwork(graph),
+        pool=pool,
+        q=0.5,
+        attacker=AttackerSpec(m3=2, m4=4, initial_compromise_size=3),
+        defender=DefenderSpec(Strategy.REACTIVE_ADAPTIVE, fpr=0.3, fnr=0.9),
+        t_max=500,
+        runs=3,
+        defender_first=defender_first,
+    )
+    _, traces = monte_carlo(scn, collect=True)
+    for i in range(scn.runs):
+        ref = ReferenceRun(scn, i, graph)
+
+        def check(rs, t):
+            if t:
+                ref.step(t)
+            assert_same_state(rs, ref, t)
+            assert rows_of(rs.trace)[t] == ref.rows[t], t
+
+        stepped(scn, i, graph=graph, watch=check)
+        assert rows_of(traces[i]) == ref.rows
+        assert round(traces[i].oc.sum() * graph.n_nodes) > 2 * DrawAhead.BLOCK
