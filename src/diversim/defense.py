@@ -113,8 +113,7 @@ def detect(state: np.ndarray, fpr: float, fnr: float, rng: np.random.Generator) 
     u = rng.random(state.shape[0])
     flagged = u < fpr
     compromised = (state == COMPROMISED).nonzero()[0]
-    if compromised.size:  # none once a reactive attack has died
-        flagged[compromised] = u[compromised] < 1.0 - fnr
+    flagged[compromised] = u[compromised] < 1.0 - fnr
     return flagged.nonzero()[0]
 
 
